@@ -64,6 +64,18 @@ class CfkComplex:
         object.__setattr__(self, "differential", entries)
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.generators, self.differential))
+
+    def __hash__(self) -> int:
+        # Complexes key the lru caches, so hash the generator tuples once.
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes: never pickle a cached one.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    @cached_property
     def index(self) -> dict[str, int]:
         return {g.id: k for k, g in enumerate(self.generators)}
 

@@ -20,17 +20,32 @@ class XorBasis:
     deterministic in the insertion order.
     """
 
-    def __init__(self) -> None:
-        self.pivots: list[int] = []  # pivot bit per basis vector
-        self.vectors: list[int] = []
-        self.combos: list[int] = []  # combo mask over inserted indices
+    def __init__(self, pivots=(), vectors=(), combos=()) -> None:
+        """Empty basis, or one resumed from the lists of an earlier basis."""
+        self.pivots: list[int] = list(pivots)  # pivot bit per basis vector
+        self.vectors: list[int] = list(vectors)
+        self.combos: list[int] = list(combos)  # combo mask per basis vector
         self.inserted = 0
 
     def reduce(self, v: int, combo: int = 0) -> tuple[int, int]:
+        """Reduce v; return the remainder and combo XORed with the masks used.
+
+        A remainder of 0 means v lies in the span, and it then equals the
+        XOR of the basis vectors whose masks were folded into the combo.
+        """
         for p, bv, bc in zip(self.pivots, self.vectors, self.combos):
             if v & p:
                 v ^= bv
                 combo ^= bc
+        return v, combo
+
+    def add(self, v: int, combo: int) -> tuple[int, int]:
+        """Reduce v with the given combo mask and keep it if independent."""
+        v, combo = self.reduce(v, combo)
+        if v:
+            self.pivots.append(lowbit(v))
+            self.vectors.append(v)
+            self.combos.append(combo)
         return v, combo
 
     def insert(self, v: int) -> tuple[int, int]:
@@ -42,15 +57,7 @@ class XorBasis:
         """
         idx = self.inserted
         self.inserted += 1
-        v, combo = self.reduce(v, 1 << idx)
-        if v:
-            self.pivots.append(lowbit(v))
-            self.vectors.append(v)
-            self.combos.append(combo)
-        return v, combo
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v)[0] == 0
+        return self.add(v, 1 << idx)
 
     @property
     def rank(self) -> int:
@@ -65,34 +72,20 @@ def rank(vectors: list[int]) -> int:
     return basis.rank
 
 
-def image_and_kernel(cols: list[int]) -> tuple[list[int], list[int]]:
-    """Column space basis and kernel basis of a matrix given by columns.
+def image_and_kernel(cols: list[int]) -> tuple[XorBasis, list[int]]:
+    """Reduced column space basis and kernel basis of a matrix given by columns.
 
-    The image basis is returned as the original (unreduced) columns that
-    got pivots.  Each kernel element is a mask over column indices whose
-    columns XOR to zero.  Both lists are deterministic in column order.
+    The basis holds the columns that got pivots, in reduced form.  Each
+    kernel element is a mask over column indices whose columns XOR to
+    zero.  Both are deterministic in column order.
     """
     basis = XorBasis()
-    image: list[int] = []
     kernel: list[int] = []
-    for j, c in enumerate(cols):
+    for c in cols:
         reduced, combo = basis.insert(c)
-        if reduced:
-            image.append(c)
-        else:
+        if not reduced:
             kernel.append(combo)
-    return image, kernel
-
-
-def solve(vectors: list[int], target: int) -> int | None:
-    """Mask m with XOR of vectors[i] for i in m equal to target, or None."""
-    basis = XorBasis()
-    for v in vectors:
-        basis.insert(v)
-    reduced, combo = basis.reduce(target)
-    if reduced:
-        return None
-    return combo
+    return basis, kernel
 
 
 def apply_columns(cols: list[int], v: int) -> int:

@@ -9,7 +9,7 @@ basis order so fixtures stay stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import gf2
 from .complexes import CfkComplex
@@ -28,6 +28,18 @@ class F2Complex:
     points: tuple[LatticePoint, ...]
     boundary: tuple[int, ...]
     filtration: tuple[int, ...] | None = None
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.points, self.boundary, self.filtration))
+
+    def __hash__(self) -> int:
+        # Complexes key the homology cache, so hash the point tuples once.
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes: never pickle a cached one.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @property
     def dim(self) -> int:
@@ -83,9 +95,20 @@ def realize(complex: CfkComplex, region: Region) -> F2Complex:
 
 @dataclass(frozen=True)
 class HomologyResult:
+    """Homology of an F2Complex with the reduced basis that computed it.
+
+    ``pivots``, ``basis`` and ``rep_masks`` form one row-reduced basis of
+    the cycles (see gf2.XorBasis): the boundary image first, then one
+    vector per representative.  ``rep_masks[k]`` names the representatives
+    whose sum differs from ``basis[k]`` by a boundary, so reducing a cycle
+    against the basis reads off its coordinates in the representatives.
+    """
+
     dimension: int
     representatives: tuple[int, ...]  # cycle bitmasks over the basis
-    image_basis: tuple[int, ...]  # basis of the boundary image
+    pivots: tuple[int, ...]  # pivot bit per reduced basis vector
+    basis: tuple[int, ...]  # reduced cycles: boundary image, then representatives
+    rep_masks: tuple[int, ...]  # representatives each basis vector stands for
 
 
 @lru_cache(maxsize=8192)
@@ -94,17 +117,19 @@ def homology(x: F2Complex) -> HomologyResult:
 
     Representatives are kernel vectors that stay independent from the
     boundary image, chosen greedily in the deterministic kernel order.
+    They are reduced against the basis that split the columns into image
+    and kernel, so each matrix is eliminated once.
     """
-    image, kernel = gf2.image_and_kernel(list(x.boundary))
-    basis = gf2.XorBasis()
-    for v in image:
-        basis.insert(v)
+    basis, kernel = gf2.image_and_kernel(list(x.boundary))
+    # Image vectors stand for no representative; representative k carries bit k.
+    basis.combos = [0] * basis.rank
     reps = []
     for z in kernel:
-        reduced, _ = basis.insert(z)
-        if reduced:
+        if basis.add(z, 1 << len(reps))[0]:
             reps.append(z)
-    return HomologyResult(len(reps), tuple(reps), tuple(image))
+    return HomologyResult(
+        len(reps), tuple(reps), tuple(basis.pivots), tuple(basis.vectors), tuple(basis.combos)
+    )
 
 
 @dataclass(frozen=True)
@@ -179,17 +204,17 @@ def induced_on_homology(f: ChainMap) -> tuple[int, ...]:
 
     Column k gives the coordinates of f(z_k) in the chosen homology
     representatives of the target, for the k-th source representative z_k.
+    They are read off by reducing f(z_k) against the target's cached basis.
     """
     hx = homology(f.source)
     hy = homology(f.target)
-    # Solve f(z) = sum a_i h_i + boundary; the a_i exist because f(z) is a cycle.
-    generators = list(hy.representatives) + list(hy.image_basis)
+    basis = gf2.XorBasis(hy.pivots, hy.basis, hy.rep_masks)
     cols = []
     for z in hx.representatives:
-        combo = gf2.solve(generators, f.apply(z))
-        if combo is None:
+        remainder, coords = basis.reduce(f.apply(z))
+        if remainder:
             raise RegionError("image of a cycle is not a cycle")
-        cols.append(combo & ((1 << hy.dimension) - 1))
+        cols.append(coords)
     return tuple(cols)
 
 

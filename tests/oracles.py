@@ -41,6 +41,29 @@ def brute_is_trivial(source_cols, target_cols, map_cols) -> bool:
     return True
 
 
+
+def brute_induced_coordinates(source_reps, target_cols, target_reps, map_cols) -> tuple[int, ...]:
+    """Induced matrix by enumeration, one column per source representative.
+
+    Column k is the unique mask c with f(z_k) + sum of c_i h_i a boundary
+    of the target, found by trying every c against the set of all
+    boundaries.
+    """
+    assert len(target_cols) <= 14 and len(map_cols) <= 14
+    boundaries = {apply_boundary(tuple(target_cols), v) for v in range(1 << len(target_cols))}
+    cols = []
+    for z in source_reps:
+        image = apply_boundary(tuple(map_cols), z)
+        found = [
+            c
+            for c in range(1 << len(target_reps))
+            if image ^ apply_boundary(tuple(target_reps), c) in boundaries
+        ]
+        assert len(found) == 1, "representatives are not a basis modulo boundaries"
+        cols.append(found[0])
+    return tuple(cols)
+
+
 def sympy_torus_exponents(p: int, q: int) -> tuple[int, ...]:
     """Alexander exponents of the (p, q) torus knot via sympy division."""
     t = sympy.symbols("t")

@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from cfk.complexes import (
@@ -14,6 +17,7 @@ from cfk.complexes import (
     validate,
 )
 from cfk.builders import box, unknot
+from cfk.invariants import invariants
 
 
 def test_unknot_validates(the_unknot):
@@ -240,3 +244,37 @@ def test_canonical_ordering_applied():
         (),
     )
     assert [g.id for g in c.generators] == ["a", "m", "z"]
+
+
+def test_round_trip_keeps_equality_and_hash(trefoil, t45):
+    for c in (trefoil, t45, tensor(trefoil, mirror(t45))):
+        back = parse(serialize(c))
+        assert back == c
+        assert hash(back) == hash(c)
+
+
+def test_name_still_distinguishes_complexes(trefoil):
+    renamed = replace(trefoil, name="other")
+    assert renamed.structure() == trefoil.structure()
+    assert renamed != trefoil
+
+
+def test_replace_computes_a_fresh_hash(trefoil):
+    hash(trefoil)
+    renamed = replace(trefoil, name="other")
+    assert "_hash" not in vars(renamed)
+    assert hash(renamed) == hash(("other", trefoil.generators, trefoil.differential))
+    assert hash(renamed) != hash(trefoil)
+
+
+def test_cached_hash_stays_private(trefoil):
+    fresh = parse(serialize(trefoil))
+    hash(trefoil)
+    assert "_hash" in vars(trefoil) and "_hash" not in vars(fresh)
+    assert serialize(trefoil) == serialize(fresh)
+    assert trefoil.structure() == (trefoil.generators, trefoil.differential)
+    assert invariants(trefoil).as_dict() == invariants(fresh).as_dict()
+    assert "_hash" not in repr(trefoil)
+    assert repr(trefoil) == repr(fresh)
+    # string hashes differ between processes, so a pickle must not carry one
+    assert "_hash" not in vars(pickle.loads(pickle.dumps(trefoil)))
