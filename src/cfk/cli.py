@@ -27,15 +27,7 @@ from .invariants import (
     invariants,
     meridian_filtration,
 )
-from .regions import (
-    Hook,
-    HookClipped,
-    LHook,
-    LHookClipped,
-    Region,
-    VerticalClipped,
-    VerticalSlice,
-)
+from .regions import Region
 from .suite import run_suite
 
 
@@ -59,26 +51,30 @@ def _require_valid(c: CfkComplex) -> CfkComplex:
     return c
 
 
+# --region kind -> shape; the "*clip" kinds take the clip as a second integer
+_REGION_SHAPES = {
+    "vslice": "vertical",
+    "vclip": "vertical",
+    "hook": "hook",
+    "hookclip": "hook",
+    "lhook": "lhook",
+    "lhookclip": "lhook",
+}
+
+
 def _parse_region(text: str) -> Region:
     kind, _, rest = text.partition(":")
     try:
         nums = [int(x) for x in rest.split(",")] if rest else []
     except ValueError:
         raise CfkError(f"region arguments must be integers: {text!r}") from None
-    table = {
-        "vslice": (VerticalSlice, 1),
-        "vclip": (VerticalClipped, 2),
-        "hook": (Hook, 1),
-        "hookclip": (HookClipped, 2),
-        "lhook": (LHook, 1),
-        "lhookclip": (LHookClipped, 2),
-    }
-    if kind not in table:
-        raise CfkError(f"unknown region kind {kind!r}; one of {', '.join(table)}")
-    cls, arity = table[kind]
+    if kind not in _REGION_SHAPES:
+        raise CfkError(f"unknown region kind {kind!r}; one of {', '.join(_REGION_SHAPES)}")
+    arity = 2 if kind.endswith("clip") else 1
     if len(nums) != arity:
-        raise CfkError(f"region {kind!r} takes {arity} integer(s), e.g. {kind}:0")
-    return cls(*nums)
+        example = ",".join(["0"] * arity)
+        raise CfkError(f"region {kind!r} takes {arity} integer(s), e.g. {kind}:{example}")
+    return Region(_REGION_SHAPES[kind], *nums)
 
 
 def cmd_list(args) -> int:
@@ -133,7 +129,7 @@ def cmd_a1(args) -> int:
 def cmd_filtration(args) -> int:
     (c,) = _resolve_inputs(args, 1)
     _require_valid(c)
-    hook = realize(c, Hook(args.m))
+    hook = realize(c, Region("hook", args.m))
     rows = []
     for p in hook.points:
         level = meridian_filtration(p.i, p.j, args.m, args.n)

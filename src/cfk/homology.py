@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 
 from . import gf2
 from .complexes import CfkComplex
-from .regions import LatticePoint, Region, RegionError, check_region
+from .regions import LatticePoint, Region, RegionError
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,13 @@ def realize(complex: CfkComplex, region: Region) -> F2Complex:
     the induced boundary keeps exactly the pairs with both endpoints inside
     the region.  Results are cached; everything involved is immutable.
     """
-    check_region(region)
+    if not isinstance(region, Region):
+        raise RegionError(f"unknown region kind: {region!r}")
     points: list[LatticePoint] = []
     for g in complex.generators:
-        for (i, j) in region.lattice_points(g.alexander):
-            points.append(LatticePoint(g.id, i, j))
+        point = region.point(g.alexander)
+        if point is not None:
+            points.append(LatticePoint(g.id, *point))
     index = {p: k for k, p in enumerate(points)}
 
     boundary = [0] * len(points)
@@ -174,28 +176,17 @@ def chain_map_by_points(source: F2Complex, target: F2Complex, survivors: set[int
 
 
 def quotient_then_include(
-    complex: CfkComplex,
-    source_region: Region,
-    target_region: Region,
-    kill_region: Region | None = None,
+    complex: CfkComplex, source_region: Region, target_region: Region
 ) -> ChainMap:
-    """The composite "quotient by the kill set, then include into the target".
+    """The composite "quotient by the source points outside the target, then include".
 
-    With kill_region omitted the kill set is every source point outside the
-    target region, which is the shape of all the maps the invariants need.
-    The result is checked to commute with the boundaries.
+    The survivors are the source points inside the target region, which is
+    the shape of all the maps the invariants need.  The result is checked
+    to commute with the boundaries.
     """
     source = realize(complex, source_region)
     target = realize(complex, target_region)
-    if kill_region is None:
-        survivors = {
-            k for k, p in enumerate(source.points) if target_region.contains(p.i, p.j)
-        }
-    else:
-        check_region(kill_region)
-        survivors = {
-            k for k, p in enumerate(source.points) if not kill_region.contains(p.i, p.j)
-        }
+    survivors = {k for k, p in enumerate(source.points) if target_region.contains(p.i, p.j)}
     return chain_map_by_points(source, target, survivors)
 
 

@@ -25,16 +25,7 @@ from .homology import (
     realize,
     with_filtration,
 )
-from .regions import (
-    Hook,
-    HookClipped,
-    LatticePoint,
-    LHook,
-    LHookClipped,
-    RegionError,
-    VerticalClipped,
-    VerticalSlice,
-)
+from .regions import LatticePoint, Region, RegionError
 
 
 class InvariantViolation(CfkError):
@@ -75,7 +66,7 @@ def hook_step_level(point: LatticePoint | tuple, m: int, n: int) -> int:
     gen, i, j = point
     if n < 1:
         raise ValueError(f"cable parameter must be at least 1, got {n}")
-    if not Hook(m).contains(i, j):
+    if not Region("hook", m).contains(i, j):
         raise RegionError(f"point {point} lies outside the hook at {m}")
     if i == 0:
         return 0
@@ -95,7 +86,7 @@ def tau(complex: CfkComplex) -> int:
     """Least cutoff whose column subcomplex still sees the homology generator."""
     g = complex.genus_bound
     for s in range(-g - 1, g + 2):
-        inc = quotient_then_include(complex, VerticalClipped(0, s), VerticalSlice(0))
+        inc = quotient_then_include(complex, Region("vertical", 0, s), Region("vertical", 0))
         if not is_trivial(inc):
             return s
     raise SearchExhausted(f"tau not found in [{-g - 1}, {g + 1}]; complex invalid")
@@ -103,14 +94,12 @@ def tau(complex: CfkComplex) -> int:
 
 def f_map(complex: CfkComplex, t: int, clip: int | None = None) -> ChainMap:
     """Column-to-lhook map: quotient by the low column part, then include."""
-    target = LHook(t) if clip is None else LHookClipped(t, clip)
-    return quotient_then_include(complex, VerticalSlice(0), target)
+    return quotient_then_include(complex, Region("vertical", 0), Region("lhook", t, clip))
 
 
 def g_map(complex: CfkComplex, t: int, clip: int | None = None) -> ChainMap:
     """Hook-to-column map: quotient by the arm, then include."""
-    source = Hook(t) if clip is None else HookClipped(t, clip)
-    return quotient_then_include(complex, source, VerticalSlice(0))
+    return quotient_then_include(complex, Region("hook", t, clip), Region("vertical", 0))
 
 
 @lru_cache(maxsize=4096)
@@ -152,13 +141,13 @@ def a1_algebraic(complex: CfkComplex) -> int:
 
 
 def _hook_with_steps(complex: CfkComplex, t: int, n: int):
-    hook = realize(complex, Hook(t))
+    hook = realize(complex, Region("hook", t))
     levels = tuple(hook_step_level(p, t, n) for p in hook.points)
     return with_filtration(hook, levels)
 
 
 def _lhook_with_steps(complex: CfkComplex, t: int, n: int):
-    lhook = realize(complex, LHook(t))
+    lhook = realize(complex, Region("lhook", t))
     levels = tuple(_lhook_step_level(p, n) for p in lhook.points)
     return with_filtration(lhook, levels)
 
@@ -180,7 +169,7 @@ def a1_surgery(complex: CfkComplex, n: int) -> int:
     if eps == 0:
         return 0
     t = tau(complex)
-    column = realize(complex, VerticalSlice(0))
+    column = realize(complex, Region("vertical", 0))
 
     if eps == -1:
         hook = _hook_with_steps(complex, t, n)
@@ -215,7 +204,7 @@ def i_filtration_coincides(complex: CfkComplex, m: int, n: int) -> bool:
         raise ValueError(f"slot {m} outside the genus bound {g}")
     if n <= 2 * g:
         raise ValueError(f"need n > {2 * g} (twice the genus bound), got {n}")
-    hook = realize(complex, Hook(m))
+    hook = realize(complex, Region("hook", m))
     return all(hook_step_level(p, m, n) == p.i for p in hook.points)
 
 
@@ -277,9 +266,9 @@ def invariants(complex: CfkComplex, n: int | None = None) -> InvariantReport:
     if (a1 > 0) - (a1 < 0) != eps:
         raise InvariantViolation(f"sgn(a1) != epsilon on {complex.name}")
     dims = {
-        "vertical": homology(realize(complex, VerticalSlice(0))).dimension,
-        "hook": homology(realize(complex, Hook(t))).dimension,
-        "lhook": homology(realize(complex, LHook(t))).dimension,
+        "vertical": homology(realize(complex, Region("vertical", 0))).dimension,
+        "hook": homology(realize(complex, Region("hook", t))).dimension,
+        "lhook": homology(realize(complex, Region("lhook", t))).dimension,
     }
     return InvariantReport(
         name=complex.name,

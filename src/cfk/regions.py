@@ -1,22 +1,25 @@
 """Lattice regions carving subquotients out of a bifiltered complex.
 
-The six kinds below are a closed list: each one's complement inside the
-full lattice splits into a sub part and a quotient part, so restricting a
-differential to the region always yields a genuine chain complex.  The
-coordinates of a point are (i, j) with j - i the Alexander grading of its
-generator.
+A region is one of three shapes, optionally clipped once: the column
+{i = level}, the hook {max(i, j - level) = 0} and the mirror-shaped hook
+{min(i, j - level) = 0}.  Each shape meets every diagonal j - i = A in
+exactly one point.  The complement of a region, clipped or not, inside
+the full lattice splits into a sub part and a quotient part, so
+restricting a differential to a region always yields a genuine chain
+complex.  The coordinates of a point are (i, j) with j - i the Alexander
+grading of its generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .complexes import CfkError
 
 
 class RegionError(CfkError):
-    """Region misuse: unknown kind, point outside, or broken subquotient."""
+    """Region misuse: unknown shape, point outside, or broken subquotient."""
 
 
 class LatticePoint(NamedTuple):
@@ -25,129 +28,55 @@ class LatticePoint(NamedTuple):
     j: int
 
 
-@dataclass(frozen=True)
-class VerticalSlice:
-    """All points with i = i0; the column complex."""
-
-    i0: int
-
-    def contains(self, i: int, j: int) -> bool:
-        return i == self.i0
-
-    def lattice_points(self, alexander: int) -> list[tuple[int, int]]:
-        return [(self.i0, self.i0 + alexander)]
-
-    def describe(self) -> str:
-        return f"{{i={self.i0}}}"
+# shape -> (defining equation, clip condition) as describe() prints them
+_SHAPES = {
+    "vertical": ("i={}", "j<={}"),
+    "hook": ("max(i,j-{})=0", "i>={}"),
+    "lhook": ("min(i,j-{})=0", "i<={}"),
+}
 
 
 @dataclass(frozen=True)
-class VerticalClipped:
-    """Points with i = i0 and j <= j_max; a subcomplex of the column."""
+class Region:
+    """The column, hook or lhook at ``level``, cut by ``clip`` when given.
 
-    i0: int
-    j_max: int
+    The clip keeps ``j <= clip`` on the column (a subcomplex of it),
+    ``i >= clip`` on the hook (a quotient by low arm columns) and
+    ``i <= clip`` on the lhook (a subcomplex).
+    """
 
-    def contains(self, i: int, j: int) -> bool:
-        return i == self.i0 and j <= self.j_max
-
-    def lattice_points(self, alexander: int) -> list[tuple[int, int]]:
-        j = self.i0 + alexander
-        return [(self.i0, j)] if j <= self.j_max else []
-
-    def describe(self) -> str:
-        return f"{{i={self.i0}, j<={self.j_max}}}"
-
-
-def _hook_points(m: int, alexander: int) -> list[tuple[int, int]]:
-    # vertical part (0, A) for A <= m, horizontal arm (m - A, m) for A >= m;
-    # the corner (0, m) satisfies both and is listed once.
-    if alexander < m:
-        return [(0, alexander)]
-    if alexander > m:
-        return [(m - alexander, m)]
-    return [(0, m)]
-
-
-def _lhook_points(level: int, alexander: int) -> list[tuple[int, int]]:
-    if alexander > level:
-        return [(0, alexander)]
-    if alexander < level:
-        return [(level - alexander, level)]
-    return [(0, level)]
-
-
-@dataclass(frozen=True)
-class Hook:
-    """Points with max(i, j - m) = 0; the large positive surgery slot m."""
-
-    m: int
-
-    def contains(self, i: int, j: int) -> bool:
-        return max(i, j - self.m) == 0
-
-    def lattice_points(self, alexander: int) -> list[tuple[int, int]]:
-        return _hook_points(self.m, alexander)
-
-    def describe(self) -> str:
-        return f"{{max(i,j-{self.m})=0}}"
-
-
-@dataclass(frozen=True)
-class HookClipped:
-    """Hook points with i >= i_min; a quotient of the hook by low arm columns."""
-
-    m: int
-    i_min: int
-
-    def contains(self, i: int, j: int) -> bool:
-        return max(i, j - self.m) == 0 and i >= self.i_min
-
-    def lattice_points(self, alexander: int) -> list[tuple[int, int]]:
-        return [(i, j) for (i, j) in _hook_points(self.m, alexander) if i >= self.i_min]
-
-    def describe(self) -> str:
-        return f"{{max(i,j-{self.m})=0, i>={self.i_min}}}"
-
-
-@dataclass(frozen=True)
-class LHook:
-    """Points with min(i, j - level) = 0; the mirror-shaped hook."""
-
+    shape: str
     level: int
+    clip: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.shape not in _SHAPES:
+            raise RegionError(f"unknown region shape: {self.shape!r}")
+
+    def point(self, alexander: int) -> tuple[int, int] | None:
+        """The region's point on the diagonal j - i = alexander, or None if clipped.
+
+        >>> Region("hook", 2).point(1), Region("hook", 2).point(5)
+        ((0, 1), (-3, 2))
+        """
+        level, clip = self.level, self.clip
+        if self.shape == "vertical":
+            i, j = level, level + alexander
+            kept = clip is None or j <= clip
+        elif self.shape == "hook":
+            i, j = min(0, level - alexander), min(alexander, level)
+            kept = clip is None or i >= clip
+        else:
+            i, j = max(0, level - alexander), max(alexander, level)
+            kept = clip is None or i <= clip
+        return (i, j) if kept else None
 
     def contains(self, i: int, j: int) -> bool:
-        return min(i, j - self.level) == 0
-
-    def lattice_points(self, alexander: int) -> list[tuple[int, int]]:
-        return _lhook_points(self.level, alexander)
+        return self.point(j - i) == (i, j)
 
     def describe(self) -> str:
-        return f"{{min(i,j-{self.level})=0}}"
-
-
-@dataclass(frozen=True)
-class LHookClipped:
-    """LHook points with i <= i_max; a subcomplex of the LHook."""
-
-    level: int
-    i_max: int
-
-    def contains(self, i: int, j: int) -> bool:
-        return min(i, j - self.level) == 0 and i <= self.i_max
-
-    def lattice_points(self, alexander: int) -> list[tuple[int, int]]:
-        return [(i, j) for (i, j) in _lhook_points(self.level, alexander) if i <= self.i_max]
-
-    def describe(self) -> str:
-        return f"{{min(i,j-{self.level})=0, i<={self.i_max}}}"
-
-
-Region = Union[VerticalSlice, VerticalClipped, Hook, HookClipped, LHook, LHookClipped]
-
-REGION_KINDS = (VerticalSlice, VerticalClipped, Hook, HookClipped, LHook, LHookClipped)
-
-
-def check_region(region: Region) -> None:
-    if not isinstance(region, REGION_KINDS):
-        raise RegionError(f"unknown region kind: {region!r}")
+        equation, clipped = _SHAPES[self.shape]
+        text = equation.format(self.level)
+        if self.clip is not None:
+            text += ", " + clipped.format(self.clip)
+        return "{" + text + "}"

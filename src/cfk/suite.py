@@ -32,7 +32,7 @@ from .invariants import (
     meridian_filtration,
     tau,
 )
-from .regions import Hook, VerticalSlice
+from .regions import Region
 
 
 @dataclass
@@ -94,7 +94,7 @@ def prop_mirror_involution(ctx: SuiteContext) -> tuple[int, list[str]]:
 def prop_slice_dim_one(ctx: SuiteContext) -> tuple[int, list[str]]:
     failures = []
     for c in ctx.pool:
-        dim = homology(realize(c, VerticalSlice(0))).dimension
+        dim = homology(realize(c, Region("vertical", 0))).dimension
         if dim != 1:
             failures.append(_offender(c, f"column homology dimension {dim}"))
     return len(ctx.pool), failures
@@ -103,7 +103,7 @@ def prop_slice_dim_one(ctx: SuiteContext) -> tuple[int, list[str]]:
 def prop_slice_translation(ctx: SuiteContext) -> tuple[int, list[str]]:
     failures = []
     for c in ctx.small_pool:
-        dims = {homology(realize(c, VerticalSlice(i0))).dimension for i0 in (-2, 0, 3)}
+        dims = {homology(realize(c, Region("vertical", i0))).dimension for i0 in (-2, 0, 3)}
         if len(dims) != 1:
             failures.append(_offender(c, f"column homology varies across columns: {dims}"))
     return len(ctx.small_pool), failures
@@ -113,8 +113,8 @@ def prop_hook_stabilization(ctx: SuiteContext) -> tuple[int, list[str]]:
     failures = []
     for c in ctx.small_pool:
         g = c.genus_bound
-        high = {homology(realize(c, Hook(m))).dimension for m in (g, g + 1, g + 3)}
-        low = {homology(realize(c, Hook(m))).dimension for m in (-g, -g - 1, -g - 3)}
+        high = {homology(realize(c, Region("hook", m))).dimension for m in (g, g + 1, g + 3)}
+        low = {homology(realize(c, Region("hook", m))).dimension for m in (-g, -g - 1, -g - 3)}
         if len(high) != 1 or len(low) != 1:
             failures.append(_offender(c, "hook homology fails to stabilize"))
     return len(ctx.small_pool), failures
@@ -127,7 +127,7 @@ def prop_euler_characteristic(ctx: SuiteContext) -> tuple[int, list[str]]:
         if not c.maslov_present:
             continue
         cases += 1
-        column = realize(c, VerticalSlice(0))
+        column = realize(c, Region("vertical", 0))
         maslov = {g.id: g.maslov for g in c.generators}
         even = [k for k, p in enumerate(column.points) if maslov[p.gen] % 2 == 0]
         odd = [k for k, p in enumerate(column.points) if maslov[p.gen] % 2 != 0]
@@ -272,7 +272,7 @@ def prop_step_level_consistency(ctx: SuiteContext) -> tuple[int, list[str]]:
     for c in ctx.small_pool:
         g = c.genus_bound
         for m in range(-g, g + 1):
-            hook = realize(c, Hook(m))
+            hook = realize(c, Region("hook", m))
             for n in (1, 2, 2 * g + 1):
                 for p in hook.points:
                     cases += 1

@@ -41,6 +41,16 @@ def brute_is_trivial(source_cols, target_cols, map_cols) -> bool:
     return True
 
 
+def region_reference(shape: str, level: int, clip: int | None, i: int, j: int) -> bool:
+    """Lattice region membership by the defining predicates of each shape."""
+    if shape == "vertical":
+        return i == level and (clip is None or j <= clip)
+    if shape == "hook":
+        return max(i, j - level) == 0 and (clip is None or i >= clip)
+    if shape == "lhook":
+        return min(i, j - level) == 0 and (clip is None or i <= clip)
+    raise ValueError(f"unknown shape {shape!r}")
+
 
 def brute_induced_coordinates(source_reps, target_cols, target_reps, map_cols) -> tuple[int, ...]:
     """Induced matrix by enumeration, one column per source representative.

@@ -17,7 +17,7 @@ from cfk.builders import (
 from cfk.complexes import CfkError, mirror, serialize, tensor, validate
 from cfk.homology import homology, realize
 from cfk.invariants import a1_algebraic, epsilon, tau
-from cfk.regions import Hook, VerticalSlice
+from cfk.regions import Region
 
 from oracles import sympy_cable_exponents, sympy_torus_exponents
 
@@ -104,9 +104,9 @@ def test_box_is_acyclic_everywhere():
     b = box()
     assert b.vertical_homology_dim() == 0
     # vertical edges only in a column; horizontal edges only deep in the arm
-    assert homology(realize(b, VerticalSlice(0))).dimension == 0
-    assert homology(realize(b, Hook(-3))).dimension == 0
-    assert homology(realize(b, Hook(3))).dimension == 0
+    assert homology(realize(b, Region("vertical", 0))).dimension == 0
+    assert homology(realize(b, Region("hook", -3))).dimension == 0
+    assert homology(realize(b, Region("hook", 3))).dimension == 0
 
 
 def test_box_tensor_unknot_is_box():

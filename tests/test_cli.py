@@ -99,6 +99,32 @@ def test_realize_debug_output(capsys):
     assert "homology dimension 1" in out
 
 
+@pytest.mark.parametrize("spec, header", [
+    ("vslice:0", "region {i=0}: 9 basis points"),
+    ("vclip:0,2", "region {i=0, j<=2}: 7 basis points"),
+    ("hook:-1", "region {max(i,j--1)=0}: 9 basis points"),
+    ("hookclip:-1,-4", "region {max(i,j--1)=0, i>=-4}: 8 basis points"),
+    ("lhook:1", "region {min(i,j-1)=0}: 9 basis points"),
+    ("lhookclip:1,2", "region {min(i,j-1)=0, i<=2}: 6 basis points"),
+])
+def test_realize_every_region_kind(capsys, spec, header):
+    code, out, _ = run(capsys, "realize", "--knot", "T(2,9)", "--region", spec)
+    assert code == 0
+    assert out.splitlines()[0] == header
+
+
+@pytest.mark.parametrize("spec", ["vclip:1", "hook:1,2", "hook:x", "bogus:1"])
+def test_realize_bad_region(capsys, spec):
+    code, _, err = run(capsys, "realize", "--knot", "T(2,3)", "--region", spec)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    # an arity hint names an example that is itself accepted
+    _, found, example = err.strip().partition(", e.g. ")
+    if found:
+        assert run(capsys, "realize", "--knot", "T(2,3)", "--region", example)[0] == 0
+
+
 def test_validate_good_and_bad(capsys, tmp_path):
     good = tmp_path / "good.json"
     good.write_text(serialize(build_library()["T(2,3)"]))

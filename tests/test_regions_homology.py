@@ -2,7 +2,6 @@ import pickle
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
 
 from cfk.builders import box, random_model
 from cfk.complexes import tensor
@@ -20,22 +19,18 @@ from cfk.homology import (
     with_filtration,
 )
 from cfk.invariants import f_map, g_map, tau
-from cfk.regions import (
-    Hook,
-    HookClipped,
-    LatticePoint,
-    LHook,
-    LHookClipped,
-    RegionError,
-    VerticalClipped,
-    VerticalSlice,
-)
+from cfk.regions import LatticePoint, Region, RegionError
 
-from oracles import brute_homology_dim, brute_induced_coordinates, brute_is_trivial
+from oracles import (
+    brute_homology_dim,
+    brute_induced_coordinates,
+    brute_is_trivial,
+    region_reference,
+)
 
 
 def test_trefoil_column(trefoil):
-    x = realize(trefoil, VerticalSlice(0))
+    x = realize(trefoil, Region("vertical", 0))
     assert x.points == (
         LatticePoint("b0", 0, 1),
         LatticePoint("b1", 0, 0),
@@ -49,13 +44,13 @@ def test_trefoil_column(trefoil):
 
 
 def test_unknot_hook(the_unknot):
-    x = realize(the_unknot, Hook(0))
+    x = realize(the_unknot, Region("hook", 0))
     assert x.dim == 1
     assert x.boundary == (0,)
 
 
 def test_trefoil_hook(trefoil):
-    x = realize(trefoil, Hook(0))
+    x = realize(trefoil, Region("hook", 0))
     assert set(x.points) == {
         LatticePoint("b0", -1, 0),
         LatticePoint("b1", 0, 0),
@@ -68,14 +63,21 @@ def test_trefoil_hook(trefoil):
 
 def test_zero_boundary_dimension(the_unknot):
     # with no surviving boundary entries the homology is the whole basis
-    x = realize(the_unknot, VerticalSlice(0))
+    x = realize(the_unknot, Region("vertical", 0))
     assert x.boundary == (0,)
     assert homology(x).dimension == x.dim == 1
-    assert homology(realize(box(), VerticalSlice(0))).dimension == 0
+    assert homology(realize(box(), Region("vertical", 0))).dimension == 0
 
 
 def test_homology_matches_brute_force(library):
-    regions = [VerticalSlice(0), VerticalSlice(-2), Hook(0), Hook(1), LHook(0), Hook(-2)]
+    regions = [
+        Region("vertical", 0),
+        Region("vertical", -2),
+        Region("hook", 0),
+        Region("hook", 1),
+        Region("lhook", 0),
+        Region("hook", -2),
+    ]
     for c in library.values():
         if len(c.generators) > 13:
             continue
@@ -86,7 +88,7 @@ def test_homology_matches_brute_force(library):
 
 def test_representatives_are_nonbounding_cycles(library):
     for c in library.values():
-        x = realize(c, Hook(tau(c)))
+        x = realize(c, Region("hook", tau(c)))
         h = homology(x)
         for z in h.representatives:
             image = 0
@@ -117,14 +119,14 @@ def test_g_map_trefoil(trefoil):
 
 
 def test_identity_quotient(trefoil):
-    f = quotient_then_include(trefoil, VerticalSlice(0), VerticalSlice(0))
+    f = quotient_then_include(trefoil, Region("vertical", 0), Region("vertical", 0))
     assert f.columns == (0b001, 0b010, 0b100)
     assert not is_trivial(f)
 
 
 def test_trivial_out_of_acyclic():
     b = box()
-    f = quotient_then_include(b, VerticalClipped(0, 10), VerticalSlice(0))
+    f = quotient_then_include(b, Region("vertical", 0, 10), Region("vertical", 0))
     assert is_trivial(f)
 
 
@@ -134,7 +136,7 @@ def test_g_map_left_trefoil_trivial(left_trefoil):
 
 
 def test_induced_matrix_shape(trefoil):
-    f = quotient_then_include(trefoil, VerticalSlice(0), VerticalSlice(0))
+    f = quotient_then_include(trefoil, Region("vertical", 0), Region("vertical", 0))
     assert induced_on_homology(f) == (0b1,)
 
 
@@ -202,7 +204,7 @@ def test_image_of_cycle_must_be_a_cycle():
 
 def test_column_translation_invariance(library):
     for c in library.values():
-        dims = {homology(realize(c, VerticalSlice(i0))).dimension for i0 in (-3, 0, 2)}
+        dims = {homology(realize(c, Region("vertical", i0))).dimension for i0 in (-3, 0, 2)}
         assert len(dims) == 1
 
 
@@ -210,29 +212,31 @@ def test_hook_stabilization(library):
     for c in library.values():
         g = c.genus_bound
         assert (
-            homology(realize(c, Hook(g))).dimension
-            == homology(realize(c, Hook(g + 2))).dimension
+            homology(realize(c, Region("hook", g))).dimension
+            == homology(realize(c, Region("hook", g + 2))).dimension
         )
         assert (
-            homology(realize(c, Hook(-g))).dimension
-            == homology(realize(c, Hook(-g - 2))).dimension
+            homology(realize(c, Region("hook", -g))).dimension
+            == homology(realize(c, Region("hook", -g - 2))).dimension
         )
 
 
 def test_region_kind_enforced(trefoil):
     with pytest.raises(RegionError):
         realize(trefoil, "hook please")
+    with pytest.raises(RegionError):
+        Region("column", 0)
 
 
 def test_noncommuting_kill_rejected(trefoil):
-    source = realize(trefoil, VerticalSlice(0))
+    source = realize(trefoil, Region("vertical", 0))
     # killing b2 (the image of b1) but keeping b1 cannot commute
     with pytest.raises(RegionError):
         chain_map_by_points(source, source, {0, 1})
 
 
 def test_filtration_levels_checked(trefoil):
-    x = realize(trefoil, VerticalSlice(0))
+    x = realize(trefoil, Region("vertical", 0))
     with pytest.raises(RegionError):
         with_filtration(x, (0, 0, 1))  # boundary b1 -> b2 would raise the level
     y = with_filtration(x, (1, 1, 0))
@@ -241,41 +245,36 @@ def test_filtration_levels_checked(trefoil):
 
 
 def test_filtration_required(trefoil):
-    x = realize(trefoil, VerticalSlice(0))
+    x = realize(trefoil, Region("vertical", 0))
     with pytest.raises(RegionError):
         filtration_subcomplex(x, 0)
 
 
-@given(
-    alexander=st.integers(-8, 8),
-    m=st.integers(-5, 5),
-    clip=st.integers(-5, 5),
-    i0=st.integers(-3, 3),
-)
-def test_lattice_points_agree_with_membership(alexander, m, clip, i0):
-    regions = [
-        VerticalSlice(i0),
-        VerticalClipped(i0, clip),
-        Hook(m),
-        HookClipped(m, clip),
-        LHook(m),
-        LHookClipped(m, clip),
-    ]
-    for r in regions:
-        pts = r.lattice_points(alexander)
-        assert len(pts) == len(set(pts))
-        for (i, j) in pts:
-            assert j - i == alexander
-            assert r.contains(i, j)
-        # hooks and slices list every point of the occupied diagonal
-        if isinstance(r, (VerticalSlice, Hook, LHook)):
-            assert len(pts) == 1
+def test_lattice_points_agree_with_membership():
+    # the point rule against the defining predicates, clipped and unclipped
+    window = range(-12, 13)
+    for shape in ("vertical", "hook", "lhook"):
+        for level in range(-4, 5):
+            for clip in (None, *range(-4, 5)):
+                r = Region(shape, level, clip)
+                for a in range(-8, 9):
+                    on_diagonal = {
+                        (i, i + a)
+                        for i in window
+                        if region_reference(shape, level, clip, i, i + a)
+                    }
+                    assert {r.point(a)} - {None} == on_diagonal, (r, a)
+                    if clip is None:
+                        assert len(on_diagonal) == 1, (r, a)
+                for i in range(-8, 9):
+                    for j in range(-8, 9):
+                        assert r.contains(i, j) == region_reference(shape, level, clip, i, j)
 
 
 def test_tensor_region_realization_consistency(trefoil):
     # spot check: a tensor complex realizes with one point per generator on hooks
     t = tensor(trefoil, trefoil)
-    x = realize(t, Hook(0))
+    x = realize(t, Region("hook", 0))
     assert x.dim == len(t.generators)
 
 
@@ -284,13 +283,13 @@ def test_random_models_brute_homology():
         c = random_model(seed, size=1)
         if len(c.generators) > 13:
             continue
-        for r in (VerticalSlice(0), Hook(0)):
+        for r in (Region("vertical", 0), Region("hook", 0)):
             x = realize(c, r)
             assert homology(x).dimension == brute_homology_dim(x.boundary)
 
 
 def test_f2complex_hash_is_cached_and_private(trefoil):
-    x = realize(trefoil, VerticalSlice(0))
+    x = realize(trefoil, Region("vertical", 0))
     copy = F2Complex(x.points, x.boundary)
     assert copy == x and hash(copy) == hash(x)
     assert "_hash" in vars(x) and "_hash" not in repr(x)
