@@ -208,6 +208,16 @@ def _bits(v: int):
         v ^= low
 
 
+def _seed_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {count}")
+    return count
+
+
 def cmd_suite(args) -> int:
     ok = run_suite(seed_count=args.seeds, extra_files=args.extra)
     return 0 if ok else 1
@@ -268,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_realize)
 
     sp = sub.add_parser("suite", help="run the property suite")
-    sp.add_argument("--seeds", type=int, default=50, help="random model count")
+    sp.add_argument("--seeds", type=_seed_count, default=50, help="random model count")
     sp.add_argument("extra", nargs="*", help="extra complex files to include")
     sp.set_defaults(func=cmd_suite)
 

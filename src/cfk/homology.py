@@ -220,42 +220,39 @@ def with_filtration(x: F2Complex, levels: tuple[int, ...]) -> F2Complex:
     return out
 
 
-def _restrict(x: F2Complex, keep: list[int]) -> F2Complex:
-    """Subquotient of x spanned by the kept basis points.
+def sorted_by_level(x: F2Complex, levels: tuple[int, ...]) -> F2Complex:
+    """x with its basis re-indexed in ascending level (ties in basis order).
 
-    Only valid when the kept set is a filtration sub or quotient piece;
-    the boundary check on the result guards misuse.
+    The result carries the sorted levels and is checked like
+    ``with_filtration``, so each sublevel set is a subcomplex and a prefix
+    of the basis: one column reduction then answers every cutoff at once.
     """
-    old_to_new = {old: new for new, old in enumerate(keep)}
-    points = tuple(x.points[k] for k in keep)
+    order = sorted(range(x.dim), key=levels.__getitem__)
+    new_index = [0] * x.dim
+    for new, old in enumerate(order):
+        new_index[old] = new
     cols = []
-    for k in keep:
-        col = 0
-        v = x.boundary[k]
+    for old in order:
+        col, v = 0, x.boundary[old]
         while v:
             low = v & -v
-            t = old_to_new.get(low.bit_length() - 1)
-            if t is not None:
-                col ^= 1 << t
+            col |= 1 << new_index[low.bit_length() - 1]
             v ^= low
         cols.append(col)
-    filt = None
-    if x.filtration is not None:
-        filt = tuple(x.filtration[k] for k in keep)
-    out = F2Complex(points, tuple(cols), filt)
-    out.check()
-    return out
+    points = tuple(x.points[k] for k in order)
+    return with_filtration(F2Complex(points, tuple(cols)), tuple(levels[k] for k in order))
 
 
-def filtration_subcomplex(x: F2Complex, max_level: int) -> F2Complex:
-    """Points with level <= max_level; a subcomplex since boundaries drop levels."""
-    if x.filtration is None:
-        raise RegionError("complex carries no filtration")
-    return _restrict(x, [k for k in range(x.dim) if x.filtration[k] <= max_level])
+def dual(x: F2Complex) -> F2Complex:
+    """The cochain complex of x on the same basis: the transposed boundary.
 
-
-def filtration_quotient(x: F2Complex, min_level: int) -> F2Complex:
-    """Quotient by the subcomplex below min_level; points with level >= min_level."""
-    if x.filtration is None:
-        raise RegionError("complex carries no filtration")
-    return _restrict(x, [k for k in range(x.dim) if x.filtration[k] >= min_level])
+    Its homology is the cohomology of x, and a quotient piece of x is a
+    subcomplex of the dual.
+    """
+    cols = [0] * x.dim
+    for k, col in enumerate(x.boundary):
+        while col:
+            low = col & -col
+            cols[low.bit_length() - 1] |= 1 << k
+            col ^= low
+    return F2Complex(x.points, tuple(cols))

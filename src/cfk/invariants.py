@@ -1,10 +1,16 @@
 """Concordance invariants tau, epsilon and a1, by two equivalent routes.
 
-The algebraic route works with subquotient regions of the complex itself.
+The algebraic route works with clipped regions of the complex itself.
 The surgery route works with the hook complex (the large-surgery model)
 carrying the step filtration induced by the meridian cable, and reads a1
 off the first filtration level whose quotient or sublevel map dies on
 homology.  Their agreement is the theorem the test suite exercises.
+
+Each cutoff family is a filtration of one complex, so every cutoff is read
+off one filtered reduction (persistence) instead of one homology per
+level: the column by j for tau, the lhook by i or step level for positive
+a1.  The hook families are quotients, whose duals are subcomplexes, so
+negative a1 reduces the dual (cochain) complex and tracks cocycles.
 """
 
 from __future__ import annotations
@@ -14,16 +20,17 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .complexes import CfkComplex, CfkError
+from .gf2 import image_and_kernel
 from .homology import (
     ChainMap,
+    F2Complex,
     chain_map_by_points,
-    filtration_quotient,
-    filtration_subcomplex,
+    dual,
     homology,
     is_trivial,
     quotient_then_include,
     realize,
-    with_filtration,
+    sorted_by_level,
 )
 from .regions import LatticePoint, Region, RegionError
 
@@ -81,15 +88,47 @@ def _lhook_step_level(point: LatticePoint, n: int) -> int:
     return min(point.i, n)
 
 
+def _death_level(
+    source: F2Complex, target: F2Complex, levels: tuple[int, ...], survivors: set[int]
+) -> int | None:
+    """Least level s, at least 0, at which source -> {level <= s} dies on homology.
+
+    The map sends each surviving source point to the same lattice point of
+    the target, whose sublevel sets must be subcomplexes.  One reduction of
+    the target's boundary in ascending level gives basis vectors whose
+    combos have their own column as top bit, so the top bit of the combo
+    that writes f(z) as a boundary is the last column needed.  None when
+    some f(z) is not a boundary at all.
+    """
+    target = sorted_by_level(target, levels)
+    f = chain_map_by_points(source, target, survivors)
+    basis, _ = image_and_kernel(list(target.boundary))
+    last = -1
+    for z in homology(source).representatives:
+        remainder, combo = basis.reduce(f.apply(z))
+        if remainder:
+            return None
+        last = max(last, combo.bit_length() - 1)
+    return max(0, target.filtration[last]) if last >= 0 else 0
+
+
 @lru_cache(maxsize=4096)
 def tau(complex: CfkComplex) -> int:
-    """Least cutoff whose column subcomplex still sees the homology generator."""
+    """Least cutoff s whose column subcomplex {j <= s} still sees the homology generator.
+
+    The column is reduced once in ascending j.  Its kernel comes out with
+    one top bit per cycle, so the first representative is the earliest
+    cycle in j order that is not a boundary, and tau is the j of its top
+    basis point.
+    """
     g = complex.genus_bound
-    for s in range(-g - 1, g + 2):
-        inc = quotient_then_include(complex, Region("vertical", 0, s), Region("vertical", 0))
-        if not is_trivial(inc):
-            return s
-    raise SearchExhausted(f"tau not found in [{-g - 1}, {g + 1}]; complex invalid")
+    column = realize(complex, Region("vertical", 0))
+    by_j = sorted_by_level(column, tuple(p.j for p in column.points))
+    reps = homology(by_j).representatives
+    s = by_j.filtration[reps[0].bit_length() - 1] if reps else None
+    if s is None or not -g - 1 <= s <= g + 1:
+        raise SearchExhausted(f"tau not found in [{-g - 1}, {g + 1}]; complex invalid")
+    return s
 
 
 def f_map(complex: CfkComplex, t: int, clip: int | None = None) -> ChainMap:
@@ -122,34 +161,33 @@ def a1_algebraic(complex: CfkComplex) -> int:
     """Refinement of epsilon measured through clipped hook maps.
 
     For positive sign: the least clip s at which the column-to-lhook map
-    dies on homology.  For negative sign: minus the least clip at which
-    the hook-to-column map dies.  Zero sign gives zero.
+    dies on homology, read off the lhook reduced in ascending i.  For
+    negative sign: minus the least clip at which the hook-to-column map
+    dies, read off the dual hook reduced in descending i, where the
+    clipped quotients become sublevel complexes and the pulled-back
+    column cocycles must become coboundaries.  Zero sign gives zero.
     """
     eps = epsilon(complex)
     if eps == 0:
         return 0
     t = tau(complex)
     g = complex.genus_bound
-    for s in range(0, 2 * g + 3):
-        if eps == 1:
-            trivial = is_trivial(f_map(complex, t, clip=s))
-        else:
-            trivial = is_trivial(g_map(complex, t, clip=-s))
-        if trivial:
-            return eps * s
-    raise SearchExhausted(f"a1 search exhausted [0, {2 * g + 2}]; complex invalid")
-
-
-def _hook_with_steps(complex: CfkComplex, t: int, n: int):
-    hook = realize(complex, Region("hook", t))
-    levels = tuple(hook_step_level(p, t, n) for p in hook.points)
-    return with_filtration(hook, levels)
-
-
-def _lhook_with_steps(complex: CfkComplex, t: int, n: int):
-    lhook = realize(complex, Region("lhook", t))
-    levels = tuple(_lhook_step_level(p, n) for p in lhook.points)
-    return with_filtration(lhook, levels)
+    column = realize(complex, Region("vertical", 0))
+    if eps == 1:
+        region = Region("lhook", t)
+        lhook = realize(complex, region)
+        source, target, levels = column, lhook, tuple(p.i for p in lhook.points)
+    else:
+        # the dual of the same-point map hook -> column is the same-point
+        # map from the dual column into the dual hook
+        region = Region("hook", t)
+        hook = realize(complex, region)
+        source, target, levels = dual(column), dual(hook), tuple(-p.i for p in hook.points)
+    survivors = {k for k, p in enumerate(column.points) if region.contains(p.i, p.j)}
+    s = _death_level(source, target, levels, survivors)
+    if s is None or s > 2 * g + 2:
+        raise SearchExhausted(f"a1 search exhausted [0, {2 * g + 2}]; complex invalid")
+    return eps * s
 
 
 def a1_surgery(complex: CfkComplex, n: int) -> int:
@@ -157,10 +195,13 @@ def a1_surgery(complex: CfkComplex, n: int) -> int:
 
     Negative sign: drop hook levels from the bottom until the map to the
     column complex dies on homology; the answer is minus the number of
-    dropped arm levels.  Positive sign: grow the mirror-shaped filtration
-    from the bottom until the map from the column complex into it dies.
-    Requires n above twice the genus bound, the regime where step levels
-    agree with the i-coordinate on occupied points.
+    dropped arm levels.  The quotients are sublevel complexes of the dual
+    hook ordered by minus the step level, so one reduction of it finds
+    the cutoff.  Positive sign: grow the mirror-shaped filtration from
+    the bottom until the map from the column complex into it dies, read
+    off one reduction of the lhook in ascending step level.  Requires n
+    above twice the genus bound, the regime where step levels agree with
+    the i-coordinate on occupied points.
     """
     g = complex.genus_bound
     if n <= 2 * g:
@@ -170,26 +211,20 @@ def a1_surgery(complex: CfkComplex, n: int) -> int:
         return 0
     t = tau(complex)
     column = realize(complex, Region("vertical", 0))
-
     if eps == -1:
-        hook = _hook_with_steps(complex, t, n)
-        for m in range(0, 2 * g + 3):
-            quotient = filtration_quotient(hook, -m)
-            survivors = {k for k, p in enumerate(quotient.points) if p.i == 0}
-            f = chain_map_by_points(quotient, column, survivors)
-            if is_trivial(f):
-                return -m
+        hook = realize(complex, Region("hook", t))
+        steps = tuple(hook_step_level(p, t, n) for p in hook.points)
+        top = {p for p, step in zip(hook.points, steps) if step == 0}
+        survivors = {k for k, p in enumerate(column.points) if p in top}
+        m = _death_level(dual(column), dual(hook), tuple(-step for step in steps), survivors)
     else:
-        lhook = _lhook_with_steps(complex, t, n)
-        for m in range(0, 2 * g + 3):
-            sublevel = filtration_subcomplex(lhook, m)
-            survivors = {
-                k for k, p in enumerate(column.points) if p.i == 0 and p.j >= t
-            }
-            f = chain_map_by_points(column, sublevel, survivors)
-            if is_trivial(f):
-                return m
-    raise SearchExhausted(f"surgery a1 search exhausted [0, {2 * g + 2}]")
+        lhook = realize(complex, Region("lhook", t))
+        steps = tuple(_lhook_step_level(p, n) for p in lhook.points)
+        survivors = {k for k, p in enumerate(column.points) if p.i == 0 and p.j >= t}
+        m = _death_level(column, lhook, steps, survivors)
+    if m is None or m > 2 * g + 2:
+        raise SearchExhausted(f"surgery a1 search exhausted [0, {2 * g + 2}]")
+    return eps * m
 
 
 def i_filtration_coincides(complex: CfkComplex, m: int, n: int) -> bool:

@@ -1,13 +1,35 @@
-"""Independent oracles: exhaustive enumeration and sympy polynomial algebra.
+"""Independent oracles: exhaustive enumeration, sympy algebra and cutoff walks.
 
-These deliberately avoid the package's elimination code paths so that the
-fast implementations are checked against something that cannot share their
-bugs.  Enumeration is exponential, so callers keep dimensions small.
+The enumeration and sympy oracles avoid the package's elimination code
+paths, so the fast implementations are checked against something that
+cannot share their bugs.  Enumeration is exponential, so callers keep
+dimensions small.  The cutoff walks do share the elimination: they are
+independent in search strategy instead, realizing and testing one clipped
+region or filtration piece per level, where the package reads every
+cutoff off one filtered reduction.
 """
 
 from __future__ import annotations
 
 import sympy
+
+from cfk.homology import (
+    F2Complex,
+    chain_map_by_points,
+    is_trivial,
+    quotient_then_include,
+    realize,
+    with_filtration,
+)
+from cfk.invariants import (
+    SearchExhausted,
+    _lhook_step_level,
+    epsilon,
+    f_map,
+    g_map,
+    hook_step_level,
+)
+from cfk.regions import Region, RegionError
 
 
 def apply_boundary(cols: tuple[int, ...], chain: int) -> int:
@@ -103,3 +125,108 @@ def _exponents_of(poly, shift: int) -> tuple[int, ...]:
             assert c in (1, -1), f"coefficient {c} breaks the alternating form"
             out.append(deg - k + shift)
     return tuple(out)
+
+
+# -- cutoff walks: one realization and one homology per level ------------------
+
+
+def tau_by_walk(complex) -> int:
+    """Least cutoff whose column subcomplex still sees the homology generator."""
+    g = complex.genus_bound
+    for s in range(-g - 1, g + 2):
+        inc = quotient_then_include(complex, Region("vertical", 0, s), Region("vertical", 0))
+        if not is_trivial(inc):
+            return s
+    raise SearchExhausted(f"tau not found in [{-g - 1}, {g + 1}]; complex invalid")
+
+
+def a1_algebraic_by_walk(complex) -> int:
+    """Least clip at which the clipped f (positive) or g (negative) map dies."""
+    eps = epsilon(complex)
+    if eps == 0:
+        return 0
+    t = tau_by_walk(complex)
+    g = complex.genus_bound
+    for s in range(0, 2 * g + 3):
+        if eps == 1:
+            trivial = is_trivial(f_map(complex, t, clip=s))
+        else:
+            trivial = is_trivial(g_map(complex, t, clip=-s))
+        if trivial:
+            return eps * s
+    raise SearchExhausted(f"a1 search exhausted [0, {2 * g + 2}]; complex invalid")
+
+
+def _restrict(x: F2Complex, keep: list[int]) -> F2Complex:
+    """Subquotient of x spanned by the kept basis points.
+
+    Only valid when the kept set is a filtration sub or quotient piece;
+    the boundary check on the result guards misuse.
+    """
+    old_to_new = {old: new for new, old in enumerate(keep)}
+    points = tuple(x.points[k] for k in keep)
+    cols = []
+    for k in keep:
+        col = 0
+        v = x.boundary[k]
+        while v:
+            low = v & -v
+            t = old_to_new.get(low.bit_length() - 1)
+            if t is not None:
+                col ^= 1 << t
+            v ^= low
+        cols.append(col)
+    filt = None
+    if x.filtration is not None:
+        filt = tuple(x.filtration[k] for k in keep)
+    out = F2Complex(points, tuple(cols), filt)
+    out.check()
+    return out
+
+
+def filtration_subcomplex(x: F2Complex, max_level: int) -> F2Complex:
+    """Points with level <= max_level; a subcomplex since boundaries drop levels."""
+    if x.filtration is None:
+        raise RegionError("complex carries no filtration")
+    return _restrict(x, [k for k in range(x.dim) if x.filtration[k] <= max_level])
+
+
+def filtration_quotient(x: F2Complex, min_level: int) -> F2Complex:
+    """Quotient by the subcomplex below min_level; points with level >= min_level."""
+    if x.filtration is None:
+        raise RegionError("complex carries no filtration")
+    return _restrict(x, [k for k in range(x.dim) if x.filtration[k] >= min_level])
+
+
+def a1_surgery_by_walk(complex, n: int) -> int:
+    """Drop hook levels (negative) or grow lhook levels (positive) until the map dies."""
+    g = complex.genus_bound
+    if n <= 2 * g:
+        raise ValueError(f"need n > {2 * g} (twice the genus bound), got {n}")
+    eps = epsilon(complex)
+    if eps == 0:
+        return 0
+    t = tau_by_walk(complex)
+    column = realize(complex, Region("vertical", 0))
+
+    if eps == -1:
+        hook = realize(complex, Region("hook", t))
+        hook = with_filtration(hook, tuple(hook_step_level(p, t, n) for p in hook.points))
+        for m in range(0, 2 * g + 3):
+            quotient = filtration_quotient(hook, -m)
+            survivors = {k for k, p in enumerate(quotient.points) if p.i == 0}
+            f = chain_map_by_points(quotient, column, survivors)
+            if is_trivial(f):
+                return -m
+    else:
+        lhook = realize(complex, Region("lhook", t))
+        lhook = with_filtration(lhook, tuple(_lhook_step_level(p, n) for p in lhook.points))
+        for m in range(0, 2 * g + 3):
+            sublevel = filtration_subcomplex(lhook, m)
+            survivors = {
+                k for k, p in enumerate(column.points) if p.i == 0 and p.j >= t
+            }
+            f = chain_map_by_points(column, sublevel, survivors)
+            if is_trivial(f):
+                return m
+    raise SearchExhausted(f"surgery a1 search exhausted [0, {2 * g + 2}]")

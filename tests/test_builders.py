@@ -1,5 +1,3 @@
-import doctest
-
 import pytest
 
 import cfk.builders as builders
@@ -20,10 +18,6 @@ from cfk.invariants import a1_algebraic, epsilon, tau
 from cfk.regions import Region
 
 from oracles import sympy_cable_exponents, sympy_torus_exponents
-
-
-def test_module_doctests():
-    assert doctest.testmod(builders).failed == 0
 
 
 def test_exponent_validation():

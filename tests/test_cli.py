@@ -177,6 +177,16 @@ def test_suite_passes(capsys):
     assert "suite PASS" in out
 
 
+@pytest.mark.parametrize("count", ["-1", "-500", "x", "1.5"])
+def test_suite_bad_seed_count_is_usage_error(capsys, count):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--seeds", count])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""  # the suite never ran
+    assert "--seeds" in out.err and "Traceback" not in out.err
+
+
 def test_suite_corrupt_fixture_names_d_squared(capsys, tmp_path):
     bad = tmp_path / "corrupt.json"
     bad.write_text(

@@ -1,8 +1,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from cfk.builders import box, conway_model, random_model, staircase, thin_model, torus_knot_exponents
-from cfk.complexes import mirror, tensor
+from cfk.builders import (
+    box,
+    build_library,
+    conway_model,
+    random_model,
+    staircase,
+    thin_model,
+    torus_knot_exponents,
+)
+from cfk.complexes import mirror, parse, tensor, validate
 from cfk.invariants import (
     SearchExhausted,
     a1_algebraic,
@@ -18,6 +26,8 @@ from cfk.invariants import (
 )
 from cfk.regions import LatticePoint, Region, RegionError
 from cfk.homology import realize
+
+from oracles import a1_algebraic_by_walk, a1_surgery_by_walk, tau_by_walk
 
 
 # -- the filtration formula ---------------------------------------------------
@@ -96,6 +106,18 @@ def test_tau_values(the_unknot, trefoil, left_trefoil, t29):
     assert tau(left_trefoil) == -1
     assert tau(t29) == 4
     assert tau(mirror(t29)) == -4
+
+
+def test_tau_reads_the_top_point_of_a_cycle():
+    # column a(j=1) -> c(j=0) <- b(j=2): the generator a + b first appears at j = 2
+    c = parse(
+        '{"name": "wedge", "generators": [{"id": "a", "alexander": 1},'
+        ' {"id": "b", "alexander": 2}, {"id": "c", "alexander": 0}],'
+        ' "differential": [{"from": "a", "to": "c", "upower": 0},'
+        ' {"from": "b", "to": "c", "upower": 0}]}'
+    )
+    assert validate(c).ok
+    assert tau(c) == 2 == tau_by_walk(c)
 
 
 def test_tau_exhaustion_on_acyclic_complex():
@@ -212,6 +234,38 @@ def test_connect_sum_prediction_table():
     assert connect_sum_prediction(3, -2)[0] == -2
     assert connect_sum_prediction(-3, 2)[0] == 2
     assert connect_sum_prediction(2, -2) == (None, "mixed signs cancelling: no prediction")
+
+
+# -- one filtered reduction per cutoff ----------------------------------------
+
+
+def test_cutoffs_match_walks():
+    pool = []
+    for c in build_library().values():
+        pool += [c, mirror(c)]
+    pool += [random_model(seed, size) for seed in range(200) for size in (1, 2, 3)]
+    t56 = staircase(torus_knot_exponents(5, 6))
+    pool += [staircase(torus_knot_exponents(7, 8)), tensor(t56, t56)]
+    pool += [thin_model(t, boxes=1, box_offset=40) for t in (1, -1)]
+    for c in pool:
+        n = 2 * c.genus_bound + 1
+        assert tau(c) == tau_by_walk(c), c.name
+        assert a1_algebraic(c) == a1_algebraic_by_walk(c), c.name
+        assert a1_surgery(c, n) == a1_surgery_by_walk(c, n), c.name
+    assert {a1_algebraic(c) for c in pool} >= {-1, 0, 1, 2, 3}
+
+
+def test_cost_does_not_grow_with_genus():
+    # the box sits far out, so the genus bound is about k, but tau = 1
+    misses = []
+    for k in (10, 10**6):
+        c = thin_model(1, boxes=1, box_offset=k)
+        for cached in (realize, tau, epsilon, a1_algebraic):
+            cached.cache_clear()
+        rep = invariants(c)
+        misses.append(realize.cache_info().misses)
+        assert (rep.tau, rep.epsilon, rep.a1) == (1, 1, 1)
+    assert misses[0] == misses[1]
 
 
 # -- the full report -------------------------------------------------------------

@@ -9,13 +9,13 @@ from cfk.homology import (
     ChainMap,
     F2Complex,
     chain_map_by_points,
-    filtration_quotient,
-    filtration_subcomplex,
+    dual,
     homology,
     induced_on_homology,
     is_trivial,
     quotient_then_include,
     realize,
+    sorted_by_level,
     with_filtration,
 )
 from cfk.invariants import f_map, g_map, tau
@@ -239,15 +239,29 @@ def test_filtration_levels_checked(trefoil):
     x = realize(trefoil, Region("vertical", 0))
     with pytest.raises(RegionError):
         with_filtration(x, (0, 0, 1))  # boundary b1 -> b2 would raise the level
-    y = with_filtration(x, (1, 1, 0))
-    assert filtration_subcomplex(y, 0).dim == 1
-    assert filtration_quotient(y, 1).dim == 2
-
-
-def test_filtration_required(trefoil):
-    x = realize(trefoil, Region("vertical", 0))
     with pytest.raises(RegionError):
-        filtration_subcomplex(x, 0)
+        sorted_by_level(x, (0, 0, 1))
+    y = sorted_by_level(x, (1, 1, 0))
+    assert y.points == (x.points[2], x.points[0], x.points[1])
+    assert y.filtration == (0, 1, 1)
+    assert y.boundary == (0, 0, 0b1)  # b1 -> b2 re-indexed
+    assert homology(y).dimension == homology(x).dimension
+
+
+def test_dual_is_the_transpose():
+    for seed in range(12):
+        c = random_model(seed, size=1)
+        for r in (Region("vertical", 0), Region("hook", 0), Region("lhook", 0)):
+            x = realize(c, r)
+            d = dual(x)
+            assert d.points == x.points and dual(d) == x
+            for k, col in enumerate(x.boundary):
+                for t in range(x.dim):
+                    assert (col >> t) & 1 == (d.boundary[t] >> k) & 1
+            d.check()
+            assert homology(d).dimension == homology(x).dimension
+            if x.dim <= 13:
+                assert brute_homology_dim(d.boundary) == homology(x).dimension
 
 
 def test_lattice_points_agree_with_membership():
