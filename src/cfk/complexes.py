@@ -336,6 +336,8 @@ def parse(text: str) -> CfkComplex:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
 
     _require(isinstance(data, dict), "top level must be an object")
     for key in ("name", "generators", "differential"):
@@ -385,4 +387,6 @@ def load_file(path: str) -> CfkComplex:
             text = fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: byte {e.start}: {e.reason}") from None
     return parse(text)

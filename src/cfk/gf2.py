@@ -20,11 +20,10 @@ class XorBasis:
     deterministic in the insertion order.
     """
 
-    def __init__(self, pivots=(), vectors=(), combos=()) -> None:
-        """Empty basis, or one resumed from the lists of an earlier basis."""
-        self.pivots: list[int] = list(pivots)  # pivot bit per basis vector
-        self.vectors: list[int] = list(vectors)
-        self.combos: list[int] = list(combos)  # combo mask per basis vector
+    def __init__(self) -> None:
+        self.pivots: list[int] = []  # pivot bit per basis vector
+        self.vectors: list[int] = []
+        self.combos: list[int] = []  # combo mask per basis vector
         self.inserted = 0
 
     def reduce(self, v: int, combo: int = 0) -> tuple[int, int]:

@@ -1,4 +1,4 @@
-"""Region realizations, mod-2 homology and induced maps on homology.
+"""Region realizations, mod-2 homology and chain maps.
 
 Realizing a region turns a bifiltered complex into a plain finite chain
 complex over the two-element field.  Chains are int bitsets over the basis
@@ -8,6 +8,7 @@ basis order so fixtures stay stable.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -97,20 +98,8 @@ def realize(complex: CfkComplex, region: Region) -> F2Complex:
 
 @dataclass(frozen=True)
 class HomologyResult:
-    """Homology of an F2Complex with the reduced basis that computed it.
-
-    ``pivots``, ``basis`` and ``rep_masks`` form one row-reduced basis of
-    the cycles (see gf2.XorBasis): the boundary image first, then one
-    vector per representative.  ``rep_masks[k]`` names the representatives
-    whose sum differs from ``basis[k]`` by a boundary, so reducing a cycle
-    against the basis reads off its coordinates in the representatives.
-    """
-
     dimension: int
     representatives: tuple[int, ...]  # cycle bitmasks over the basis
-    pivots: tuple[int, ...]  # pivot bit per reduced basis vector
-    basis: tuple[int, ...]  # reduced cycles: boundary image, then representatives
-    rep_masks: tuple[int, ...]  # representatives each basis vector stands for
 
 
 @lru_cache(maxsize=8192)
@@ -118,20 +107,12 @@ def homology(x: F2Complex) -> HomologyResult:
     """Kernel-mod-image over the two-element field.
 
     Representatives are kernel vectors that stay independent from the
-    boundary image, chosen greedily in the deterministic kernel order.
-    They are reduced against the basis that split the columns into image
-    and kernel, so each matrix is eliminated once.
+    boundary image, chosen greedily in the deterministic kernel order by
+    extending the basis that split the columns into image and kernel.
     """
     basis, kernel = gf2.image_and_kernel(list(x.boundary))
-    # Image vectors stand for no representative; representative k carries bit k.
-    basis.combos = [0] * basis.rank
-    reps = []
-    for z in kernel:
-        if basis.add(z, 1 << len(reps))[0]:
-            reps.append(z)
-    return HomologyResult(
-        len(reps), tuple(reps), tuple(basis.pivots), tuple(basis.vectors), tuple(basis.combos)
-    )
+    reps = [z for z in kernel if basis.add(z, 0)[0]]
+    return HomologyResult(len(reps), tuple(reps))
 
 
 @dataclass(frozen=True)
@@ -158,7 +139,9 @@ class ChainMap:
                 )
 
 
-def chain_map_by_points(source: F2Complex, target: F2Complex, survivors: set[int]) -> ChainMap:
+def chain_map_by_points(
+    source: F2Complex, target: F2Complex, survivors: Container[int]
+) -> ChainMap:
     """Map sending each surviving basis point to the same lattice point, rest to 0."""
     tgt_index = target.point_index()
     cols = []
@@ -173,45 +156,6 @@ def chain_map_by_points(source: F2Complex, target: F2Complex, survivors: set[int
     out = ChainMap(source, target, tuple(cols))
     out.check()
     return out
-
-
-def quotient_then_include(
-    complex: CfkComplex, source_region: Region, target_region: Region
-) -> ChainMap:
-    """The composite "quotient by the source points outside the target, then include".
-
-    The survivors are the source points inside the target region, which is
-    the shape of all the maps the invariants need.  The result is checked
-    to commute with the boundaries.
-    """
-    source = realize(complex, source_region)
-    target = realize(complex, target_region)
-    survivors = {k for k, p in enumerate(source.points) if target_region.contains(p.i, p.j)}
-    return chain_map_by_points(source, target, survivors)
-
-
-def induced_on_homology(f: ChainMap) -> tuple[int, ...]:
-    """Matrix of the induced map, as columns over the target homology basis.
-
-    Column k gives the coordinates of f(z_k) in the chosen homology
-    representatives of the target, for the k-th source representative z_k.
-    They are read off by reducing f(z_k) against the target's cached basis.
-    """
-    hx = homology(f.source)
-    hy = homology(f.target)
-    basis = gf2.XorBasis(hy.pivots, hy.basis, hy.rep_masks)
-    cols = []
-    for z in hx.representatives:
-        remainder, coords = basis.reduce(f.apply(z))
-        if remainder:
-            raise RegionError("image of a cycle is not a cycle")
-        cols.append(coords)
-    return tuple(cols)
-
-
-def is_trivial(f: ChainMap) -> bool:
-    """True when the induced map on homology is zero (including dim-0 sources)."""
-    return all(c == 0 for c in induced_on_homology(f))
 
 
 def with_filtration(x: F2Complex, levels: tuple[int, ...]) -> F2Complex:

@@ -11,6 +11,8 @@ off one filtered reduction (persistence) instead of one homology per
 level: the column by j for tau, the lhook by i or step level for positive
 a1.  The hook families are quotients, whose duals are subcomplexes, so
 negative a1 reduces the dual (cochain) complex and tracks cocycles.
+epsilon asks whether the unclipped maps die at all, so it reads which of
+the two a1 reductions finds a level, and a1_algebraic reads that level.
 """
 
 from __future__ import annotations
@@ -21,17 +23,7 @@ from typing import NamedTuple
 
 from .complexes import CfkComplex, CfkError
 from .gf2 import image_and_kernel
-from .homology import (
-    ChainMap,
-    F2Complex,
-    chain_map_by_points,
-    dual,
-    homology,
-    is_trivial,
-    quotient_then_include,
-    realize,
-    sorted_by_level,
-)
+from .homology import F2Complex, chain_map_by_points, dual, homology, realize, sorted_by_level
 from .regions import LatticePoint, Region, RegionError
 
 
@@ -88,28 +80,73 @@ def _lhook_step_level(point: LatticePoint, n: int) -> int:
     return min(point.i, n)
 
 
+class _Death(NamedTuple):
+    level: int | None  # None when the map never dies
+    target_dim: int  # dimension of the target's homology
+
+
+@lru_cache(maxsize=4096)
 def _death_level(
-    source: F2Complex, target: F2Complex, levels: tuple[int, ...], survivors: set[int]
-) -> int | None:
+    source: F2Complex, target: F2Complex, levels: tuple[int, ...], survivors: frozenset[int]
+) -> _Death:
     """Least level s, at least 0, at which source -> {level <= s} dies on homology.
 
     The map sends each surviving source point to the same lattice point of
     the target, whose sublevel sets must be subcomplexes.  One reduction of
     the target's boundary in ascending level gives basis vectors whose
     combos have their own column as top bit, so the top bit of the combo
-    that writes f(z) as a boundary is the last column needed.  None when
-    some f(z) is not a boundary at all.
+    that writes f(z) as a boundary is the last column needed.  The level is
+    None when some f(z) is not a boundary at all.  The same reduction gives
+    the target's homology dimension, kernel size minus rank.  Results are
+    cached: both a1 routes ask for the same reduction whenever their levels
+    agree.
     """
     target = sorted_by_level(target, levels)
     f = chain_map_by_points(source, target, survivors)
-    basis, _ = image_and_kernel(list(target.boundary))
+    basis, kernel = image_and_kernel(list(target.boundary))
+    dim = len(kernel) - basis.rank
     last = -1
     for z in homology(source).representatives:
         remainder, combo = basis.reduce(f.apply(z))
         if remainder:
-            return None
+            return _Death(None, dim)
         last = max(last, combo.bit_length() - 1)
-    return max(0, target.filtration[last]) if last >= 0 else 0
+    return _Death(max(0, target.filtration[last]) if last >= 0 else 0, dim)
+
+
+@lru_cache(maxsize=4096)
+def _column(complex: CfkComplex) -> F2Complex:
+    """The column at i = 0, re-indexed in ascending j."""
+    column = realize(complex, Region("vertical", 0))
+    return sorted_by_level(column, tuple(p.j for p in column.points))
+
+
+def _inside(x: F2Complex, region: Region) -> frozenset[int]:
+    return frozenset(k for k, p in enumerate(x.points) if region.contains(p.i, p.j))
+
+
+@lru_cache(maxsize=4096)
+def _hook_deaths(complex: CfkComplex) -> tuple[_Death, _Death]:
+    """Where the unclipped maps f: column -> lhook and g: hook -> column die at tau.
+
+    f is read off the lhook in ascending i.  g is read off its dual: the
+    same-point map from the dual column into the dual hook, in descending
+    i, which dies on cohomology exactly when g dies on homology.
+    """
+    t = tau(complex)
+    column = _column(complex)
+    lhook = realize(complex, Region("lhook", t))
+    hook = realize(complex, Region("hook", t))
+    f = _death_level(
+        column, lhook, tuple(p.i for p in lhook.points), _inside(column, Region("lhook", t))
+    )
+    g = _death_level(
+        dual(column),
+        dual(hook),
+        tuple(-p.i for p in hook.points),
+        _inside(column, Region("hook", t)),
+    )
+    return f, g
 
 
 @lru_cache(maxsize=4096)
@@ -122,8 +159,7 @@ def tau(complex: CfkComplex) -> int:
     basis point.
     """
     g = complex.genus_bound
-    column = realize(complex, Region("vertical", 0))
-    by_j = sorted_by_level(column, tuple(p.j for p in column.points))
+    by_j = _column(complex)
     reps = homology(by_j).representatives
     s = by_j.filtration[reps[0].bit_length() - 1] if reps else None
     if s is None or not -g - 1 <= s <= g + 1:
@@ -131,27 +167,15 @@ def tau(complex: CfkComplex) -> int:
     return s
 
 
-def f_map(complex: CfkComplex, t: int, clip: int | None = None) -> ChainMap:
-    """Column-to-lhook map: quotient by the low column part, then include."""
-    return quotient_then_include(complex, Region("vertical", 0), Region("lhook", t, clip))
-
-
-def g_map(complex: CfkComplex, t: int, clip: int | None = None) -> ChainMap:
-    """Hook-to-column map: quotient by the arm, then include."""
-    return quotient_then_include(complex, Region("hook", t, clip), Region("vertical", 0))
-
-
 @lru_cache(maxsize=4096)
 def epsilon(complex: CfkComplex) -> int:
-    """Sign invariant from which of the two hook maps dies on homology."""
-    t = tau(complex)
-    f_trivial = is_trivial(f_map(complex, t))
-    g_trivial = is_trivial(g_map(complex, t))
-    if f_trivial and g_trivial:
+    """Sign invariant from which of the two unclipped hook maps dies on homology."""
+    f, g = _hook_deaths(complex)
+    if f.level is not None and g.level is not None:
         raise InvariantViolation("both hook maps vanish on homology")
-    if f_trivial:
+    if f.level is not None:
         return 1
-    if g_trivial:
+    if g.level is not None:
         return -1
     return 0
 
@@ -170,22 +194,9 @@ def a1_algebraic(complex: CfkComplex) -> int:
     eps = epsilon(complex)
     if eps == 0:
         return 0
-    t = tau(complex)
     g = complex.genus_bound
-    column = realize(complex, Region("vertical", 0))
-    if eps == 1:
-        region = Region("lhook", t)
-        lhook = realize(complex, region)
-        source, target, levels = column, lhook, tuple(p.i for p in lhook.points)
-    else:
-        # the dual of the same-point map hook -> column is the same-point
-        # map from the dual column into the dual hook
-        region = Region("hook", t)
-        hook = realize(complex, region)
-        source, target, levels = dual(column), dual(hook), tuple(-p.i for p in hook.points)
-    survivors = {k for k, p in enumerate(column.points) if region.contains(p.i, p.j)}
-    s = _death_level(source, target, levels, survivors)
-    if s is None or s > 2 * g + 2:
+    s = _hook_deaths(complex)[0 if eps == 1 else 1].level
+    if s > 2 * g + 2:
         raise SearchExhausted(f"a1 search exhausted [0, {2 * g + 2}]; complex invalid")
     return eps * s
 
@@ -210,18 +221,19 @@ def a1_surgery(complex: CfkComplex, n: int) -> int:
     if eps == 0:
         return 0
     t = tau(complex)
-    column = realize(complex, Region("vertical", 0))
+    column = _column(complex)
     if eps == -1:
         hook = realize(complex, Region("hook", t))
         steps = tuple(hook_step_level(p, t, n) for p in hook.points)
         top = {p for p, step in zip(hook.points, steps) if step == 0}
-        survivors = {k for k, p in enumerate(column.points) if p in top}
-        m = _death_level(dual(column), dual(hook), tuple(-step for step in steps), survivors)
+        survivors = frozenset(k for k, p in enumerate(column.points) if p in top)
+        levels = tuple(-step for step in steps)
+        m = _death_level(dual(column), dual(hook), levels, survivors).level
     else:
         lhook = realize(complex, Region("lhook", t))
         steps = tuple(_lhook_step_level(p, n) for p in lhook.points)
-        survivors = {k for k, p in enumerate(column.points) if p.i == 0 and p.j >= t}
-        m = _death_level(column, lhook, steps, survivors)
+        survivors = frozenset(k for k, p in enumerate(column.points) if p.i == 0 and p.j >= t)
+        m = _death_level(column, lhook, steps, survivors).level
     if m is None or m > 2 * g + 2:
         raise SearchExhausted(f"surgery a1 search exhausted [0, {2 * g + 2}]")
     return eps * m
@@ -300,10 +312,11 @@ def invariants(complex: CfkComplex, n: int | None = None) -> InvariantReport:
     eps = epsilon(complex)
     if (a1 > 0) - (a1 < 0) != eps:
         raise InvariantViolation(f"sgn(a1) != epsilon on {complex.name}")
+    lhook, hook = _hook_deaths(complex)
     dims = {
-        "vertical": homology(realize(complex, Region("vertical", 0))).dimension,
-        "hook": homology(realize(complex, Region("hook", t))).dimension,
-        "lhook": homology(realize(complex, Region("lhook", t))).dimension,
+        "vertical": homology(_column(complex)).dimension,
+        "hook": hook.target_dim,
+        "lhook": lhook.target_dim,
     }
     return InvariantReport(
         name=complex.name,

@@ -20,7 +20,16 @@ from .builders import (
     thin_model,
     torus_knot_exponents,
 )
-from .complexes import CfkComplex, direct_sum, mirror, parse, serialize, tensor, validate
+from .complexes import (
+    CfkComplex,
+    direct_sum,
+    load_file,
+    mirror,
+    parse,
+    serialize,
+    tensor,
+    validate,
+)
 from .homology import homology, realize
 from .invariants import (
     a1_algebraic,
@@ -54,10 +63,7 @@ class SuiteContext:
     def __init__(self, seed_count: int, extra_files: Iterable[str] = ()):
         self.library = build_library()
         self.randoms = [random_model(seed) for seed in range(seed_count)]
-        self.extras = []
-        for path in extra_files:
-            with open(path, encoding="utf-8") as fh:
-                self.extras.append(parse(fh.read()))
+        self.extras = [load_file(path) for path in extra_files]
         self.pool = list(self.library.values()) + self.randoms + self.extras
         # smaller pools for the properties whose cost is quadratic in size
         self.small_pool = list(self.library.values()) + self.randoms[:10] + self.extras

@@ -4,29 +4,31 @@ The enumeration and sympy oracles avoid the package's elimination code
 paths, so the fast implementations are checked against something that
 cannot share their bugs.  Enumeration is exponential, so callers keep
 dimensions small.  The cutoff walks do share the elimination: they are
-independent in search strategy instead, realizing and testing one clipped
-region or filtration piece per level, where the package reads every
-cutoff off one filtered reduction.
+independent in search strategy instead, realizing one clipped region or
+filtration piece per level and asking whether a map between plain
+complexes is zero on homology, where the package reads every cutoff, and
+epsilon, off one filtered reduction.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import sympy
 
+from cfk.gf2 import XorBasis, image_and_kernel
 from cfk.homology import (
+    ChainMap,
     F2Complex,
     chain_map_by_points,
-    is_trivial,
-    quotient_then_include,
+    homology,
     realize,
     with_filtration,
 )
 from cfk.invariants import (
+    InvariantViolation,
     SearchExhausted,
     _lhook_step_level,
-    epsilon,
-    f_map,
-    g_map,
     hook_step_level,
 )
 from cfk.regions import Region, RegionError
@@ -74,28 +76,6 @@ def region_reference(shape: str, level: int, clip: int | None, i: int, j: int) -
     raise ValueError(f"unknown shape {shape!r}")
 
 
-def brute_induced_coordinates(source_reps, target_cols, target_reps, map_cols) -> tuple[int, ...]:
-    """Induced matrix by enumeration, one column per source representative.
-
-    Column k is the unique mask c with f(z_k) + sum of c_i h_i a boundary
-    of the target, found by trying every c against the set of all
-    boundaries.
-    """
-    assert len(target_cols) <= 14 and len(map_cols) <= 14
-    boundaries = {apply_boundary(tuple(target_cols), v) for v in range(1 << len(target_cols))}
-    cols = []
-    for z in source_reps:
-        image = apply_boundary(tuple(map_cols), z)
-        found = [
-            c
-            for c in range(1 << len(target_reps))
-            if image ^ apply_boundary(tuple(target_reps), c) in boundaries
-        ]
-        assert len(found) == 1, "representatives are not a basis modulo boundaries"
-        cols.append(found[0])
-    return tuple(cols)
-
-
 def sympy_torus_exponents(p: int, q: int) -> tuple[int, ...]:
     """Alexander exponents of the (p, q) torus knot via sympy division."""
     t = sympy.symbols("t")
@@ -130,6 +110,35 @@ def _exponents_of(poly, shift: int) -> tuple[int, ...]:
 # -- cutoff walks: one realization and one homology per level ------------------
 
 
+@lru_cache(maxsize=4096)
+def _boundary_span(x: F2Complex) -> XorBasis:
+    return image_and_kernel(list(x.boundary))[0]
+
+
+def is_trivial(f: ChainMap) -> bool:
+    """Zero induced map: every source representative maps to a target boundary."""
+    boundaries = _boundary_span(f.target)
+    return all(boundaries.reduce(f.apply(z))[0] == 0 for z in homology(f.source).representatives)
+
+
+def quotient_then_include(complex, source_region: Region, target_region: Region) -> ChainMap:
+    """Quotient the source region by its points outside the target, then include."""
+    source = realize(complex, source_region)
+    target = realize(complex, target_region)
+    survivors = {k for k, p in enumerate(source.points) if target_region.contains(p.i, p.j)}
+    return chain_map_by_points(source, target, survivors)
+
+
+def f_map(complex, t: int, clip: int | None = None) -> ChainMap:
+    """Column-to-lhook map: quotient by the low column part, then include."""
+    return quotient_then_include(complex, Region("vertical", 0), Region("lhook", t, clip))
+
+
+def g_map(complex, t: int, clip: int | None = None) -> ChainMap:
+    """Hook-to-column map: quotient by the arm, then include."""
+    return quotient_then_include(complex, Region("hook", t, clip), Region("vertical", 0))
+
+
 def tau_by_walk(complex) -> int:
     """Least cutoff whose column subcomplex still sees the homology generator."""
     g = complex.genus_bound
@@ -140,9 +149,19 @@ def tau_by_walk(complex) -> int:
     raise SearchExhausted(f"tau not found in [{-g - 1}, {g + 1}]; complex invalid")
 
 
+def epsilon_by_maps(complex) -> int:
+    """Sign from which of the unclipped f and g maps at tau is zero on homology."""
+    t = tau_by_walk(complex)
+    f_trivial = is_trivial(f_map(complex, t))
+    g_trivial = is_trivial(g_map(complex, t))
+    if f_trivial and g_trivial:
+        raise InvariantViolation("both hook maps vanish on homology")
+    return 1 if f_trivial else -1 if g_trivial else 0
+
+
 def a1_algebraic_by_walk(complex) -> int:
     """Least clip at which the clipped f (positive) or g (negative) map dies."""
-    eps = epsilon(complex)
+    eps = epsilon_by_maps(complex)
     if eps == 0:
         return 0
     t = tau_by_walk(complex)
@@ -203,7 +222,7 @@ def a1_surgery_by_walk(complex, n: int) -> int:
     g = complex.genus_bound
     if n <= 2 * g:
         raise ValueError(f"need n > {2 * g} (twice the genus bound), got {n}")
-    eps = epsilon(complex)
+    eps = epsilon_by_maps(complex)
     if eps == 0:
         return 0
     t = tau_by_walk(complex)

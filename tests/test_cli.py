@@ -187,6 +187,14 @@ def test_suite_bad_seed_count_is_usage_error(capsys, count):
     assert "--seeds" in out.err and "Traceback" not in out.err
 
 
+def test_suite_unreadable_extra_file(capsys, tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        code, out, err = run(capsys, "suite", "--seeds", "1", str(path))
+        assert code == 1
+        assert out == ""  # the suite never ran
+        assert err.startswith("error: cannot read ") and "Traceback" not in err
+
+
 def test_suite_corrupt_fixture_names_d_squared(capsys, tmp_path):
     bad = tmp_path / "corrupt.json"
     bad.write_text(

@@ -10,6 +10,7 @@ from cfk.complexes import (
     Generator,
     ParseError,
     direct_sum,
+    load_file,
     mirror,
     parse,
     serialize,
@@ -17,6 +18,7 @@ from cfk.complexes import (
     validate,
 )
 from cfk.builders import box, unknot
+from cfk.cli import main
 from cfk.invariants import invariants
 
 
@@ -221,6 +223,31 @@ def test_parse_type_errors():
         parse("[]")
     with pytest.raises(ParseError, match="missing"):
         parse('{"name": "x"}')
+
+
+def test_parse_rejects_deep_nesting():
+    for text in ("[" * 100000, "[" * 100000 + "]" * 100000, '{"a": ' * 100000):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(text)
+
+
+def test_load_file_rejects_invalid_utf8(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_file(str(bad))
+
+
+def test_unreadable_text_exits_1_through_validate(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b"\xff\xfe{}")
+    for path in (deep, latin1):
+        assert main(["validate", "--file", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and "Traceback" not in out.err
 
 
 def test_parse_distinct_from_validation():

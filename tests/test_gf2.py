@@ -26,7 +26,7 @@ def test_kernel_members_map_to_zero():
 
 
 def tagged_basis(vectors: list[int]) -> gf2.XorBasis:
-    """Basis where vectors[k] carries bit k of the combo, as homology() builds it."""
+    """Basis where vectors[k] carries bit k of the combo."""
     basis = gf2.XorBasis()
     for k, v in enumerate(vectors):
         assert basis.add(v, 1 << k)[0]
@@ -51,13 +51,6 @@ def test_vector_outside_span_leaves_remainder():
     assert remainder != 0
     # the remainder differs from the target by a member of the span
     assert basis.reduce(remainder ^ 0b0100)[0] == 0
-
-
-def test_resumed_basis_reads_the_same_coordinates():
-    basis = tagged_basis([0b0110, 0b0011, 0b1000])
-    resumed = gf2.XorBasis(tuple(basis.pivots), tuple(basis.vectors), tuple(basis.combos))
-    for target in range(16):
-        assert resumed.reduce(target) == basis.reduce(target)
 
 
 def test_image_and_kernel_basis_spans_the_columns():

@@ -25,9 +25,9 @@ from cfk.invariants import (
     tau,
 )
 from cfk.regions import LatticePoint, Region, RegionError
-from cfk.homology import realize
+from cfk.homology import homology, realize
 
-from oracles import a1_algebraic_by_walk, a1_surgery_by_walk, tau_by_walk
+from oracles import a1_algebraic_by_walk, a1_surgery_by_walk, epsilon_by_maps, tau_by_walk
 
 
 # -- the filtration formula ---------------------------------------------------
@@ -250,9 +250,11 @@ def test_cutoffs_match_walks():
     for c in pool:
         n = 2 * c.genus_bound + 1
         assert tau(c) == tau_by_walk(c), c.name
+        assert epsilon(c) == epsilon_by_maps(c), c.name
         assert a1_algebraic(c) == a1_algebraic_by_walk(c), c.name
         assert a1_surgery(c, n) == a1_surgery_by_walk(c, n), c.name
     assert {a1_algebraic(c) for c in pool} >= {-1, 0, 1, 2, 3}
+    assert {epsilon(c) for c in pool} == {-1, 0, 1}
 
 
 def test_cost_does_not_grow_with_genus():
@@ -285,3 +287,17 @@ def test_invariant_report_default_n(t45):
     rep = invariants(t45)
     assert rep.surgery_n == 2 * 6 + 1
     assert rep.a1 == 1
+
+
+def test_report_dims_match_region_homology():
+    # random models include complexes whose hook and lhook homologies differ
+    lopsided = 0
+    for c in [random_model(seed, size) for seed in range(60) for size in (1, 2)]:
+        rep = invariants(c)
+        want = {
+            shape: homology(realize(c, Region(shape, level))).dimension
+            for shape, level in (("vertical", 0), ("hook", rep.tau), ("lhook", rep.tau))
+        }
+        assert rep.homology_dims == want, c.name
+        lopsided += want["hook"] != want["lhook"]
+    assert lopsided > 0

@@ -2,6 +2,21 @@ import pytest
 
 from cfk.builders import build_library, library_names, load_library
 from cfk.complexes import CfkError, serialize, validate
+from cfk.invariants import invariants
+
+# invariants(c).as_dict() of every library knot:
+# tau, epsilon, a1, a1_surgery, surgery_n, genus_bound, dim H vertical, hook, lhook
+REPORTS = {
+    "unknot": (0, 0, 0, 0, 1, 0, 1, 1, 1),
+    "T(2,3)": (1, 1, 1, 1, 3, 1, 1, 1, 1),
+    "-T(2,3)": (-1, -1, -1, -1, 3, 1, 1, 1, 1),
+    "4_1": (0, 0, 0, 0, 3, 1, 1, 3, 3),
+    "T(2,9)": (4, 1, 1, 1, 9, 4, 1, 1, 1),
+    "T(4,5)": (6, 1, 1, 1, 13, 6, 1, 1, 1),
+    "T(2,3;2,5)": (4, 1, 1, 1, 9, 4, 1, 1, 1),
+    "-T(2,3;2,5)": (-4, -1, -1, -1, 9, 4, 1, 1, 1),
+    "conway": (0, 0, 0, 0, 5, 2, 1, 3, 3),
+}
 
 
 def test_shipped_files_match_builders():
@@ -25,3 +40,19 @@ def test_all_library_complexes_validate():
 def test_unknown_name():
     with pytest.raises(CfkError, match="unknown knot"):
         load_library("T(7,8)")
+
+
+def test_library_reports_are_pinned():
+    assert set(REPORTS) == set(library_names())
+    for name, row in REPORTS.items():
+        tau, eps, a1, a1s, n, g, vertical, hook, lhook = row
+        assert invariants(load_library(name)).as_dict() == {
+            "name": name,
+            "tau": tau,
+            "epsilon": eps,
+            "a1": a1,
+            "a1_surgery": a1s,
+            "surgery_n": n,
+            "genus_bound": g,
+            "homology_dims": {"vertical": vertical, "hook": hook, "lhook": lhook},
+        }, name

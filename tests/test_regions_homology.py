@@ -6,25 +6,24 @@ import pytest
 from cfk.builders import box, random_model
 from cfk.complexes import tensor
 from cfk.homology import (
-    ChainMap,
     F2Complex,
     chain_map_by_points,
     dual,
     homology,
-    induced_on_homology,
-    is_trivial,
-    quotient_then_include,
     realize,
     sorted_by_level,
     with_filtration,
 )
-from cfk.invariants import f_map, g_map, tau
+from cfk.invariants import tau
 from cfk.regions import LatticePoint, Region, RegionError
 
 from oracles import (
     brute_homology_dim,
-    brute_induced_coordinates,
     brute_is_trivial,
+    f_map,
+    g_map,
+    is_trivial,
+    quotient_then_include,
     region_reference,
 )
 
@@ -135,11 +134,6 @@ def test_g_map_left_trefoil_trivial(left_trefoil):
     assert is_trivial(g_map(left_trefoil, -1))
 
 
-def test_induced_matrix_shape(trefoil):
-    f = quotient_then_include(trefoil, Region("vertical", 0), Region("vertical", 0))
-    assert induced_on_homology(f) == (0b1,)
-
-
 def test_triviality_matches_brute_force(library):
     for c in library.values():
         if len(c.generators) > 13:
@@ -149,57 +143,6 @@ def test_triviality_matches_brute_force(library):
             got = is_trivial(f)
             want = brute_is_trivial(f.source.boundary, f.target.boundary, f.columns)
             assert got == want, c.name
-
-
-def small_complexes(library):
-    """Library knots and size-1 random models small enough for enumeration."""
-    out = [c for c in library.values() if len(c.generators) <= 13]
-    out += [random_model(seed, size=1) for seed in range(12)]
-    return [c for c in out if len(c.generators) <= 13]
-
-
-def check_induced_against_brute_force(f: ChainMap) -> None:
-    got = induced_on_homology(f)
-    want = brute_induced_coordinates(
-        homology(f.source).representatives,
-        f.target.boundary,
-        homology(f.target).representatives,
-        f.columns,
-    )
-    assert got == want
-
-
-def test_induced_matrix_matches_brute_force(library):
-    checked = 0
-    for c in small_complexes(library):
-        t = tau(c)
-        for f in (f_map(c, t), g_map(c, t), f_map(c, t, clip=1), g_map(c, t, clip=-1)):
-            check_induced_against_brute_force(f)
-            checked += len(induced_on_homology(f))
-    assert checked > 60
-
-
-def point_complex(boundary: tuple[int, ...]) -> F2Complex:
-    return F2Complex(tuple(LatticePoint(f"x{k}", 0, 0) for k in range(len(boundary))), boundary)
-
-
-def test_induced_coordinates_mix_representatives():
-    # target: x3 bounds x0 + x1, so x1 is homologous to the representative x0
-    target = point_complex((0, 0, 0, 0b0011))
-    assert homology(target).representatives == (0b0001, 0b0100)
-    source = point_complex((0, 0))
-    f = ChainMap(source, target, (0b0110, 0b0010))  # x1 + x2, then x1
-    f.check()
-    assert induced_on_homology(f) == (0b11, 0b01)
-    check_induced_against_brute_force(f)
-
-
-def test_image_of_cycle_must_be_a_cycle():
-    source = point_complex((0,))
-    target = point_complex((0, 0b01))  # x1 bounds x0, so x1 is no cycle
-    f = ChainMap(source, target, (0b10,))  # built directly: check() would refuse it
-    with pytest.raises(RegionError, match="not a cycle"):
-        induced_on_homology(f)
 
 
 def test_column_translation_invariance(library):
