@@ -23,7 +23,6 @@ from .homology import homology, realize
 from .invariants import (
     a1_algebraic,
     a1_surgery,
-    hook_step_level,
     invariants,
     meridian_filtration,
 )
@@ -133,8 +132,7 @@ def cmd_filtration(args) -> int:
     rows = []
     for p in hook.points:
         level = meridian_filtration(p.i, p.j, args.m, args.n)
-        step = hook_step_level(p, args.m, args.n)
-        rows.append((p.gen, p.i, p.j, level.first, level.second, step))
+        rows.append((p.gen, p.i, p.j, level.first, level.second, level.second))
     if args.format == "json":
         print(json.dumps(
             [

@@ -338,6 +338,8 @@ def parse(text: str) -> CfkComplex:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise ParseError("JSON nested too deeply") from None
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise ParseError(f"number out of range: {e}") from None
 
     _require(isinstance(data, dict), "top level must be an object")
     for key in ("name", "generators", "differential"):

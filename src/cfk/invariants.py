@@ -1,30 +1,33 @@
 """Concordance invariants tau, epsilon and a1, by two equivalent routes.
 
-The algebraic route works with clipped regions of the complex itself.
-The surgery route works with the hook complex (the large-surgery model)
-carrying the step filtration induced by the meridian cable, and reads a1
-off the first filtration level whose quotient or sublevel map dies on
-homology.  Their agreement is the theorem the test suite exercises.
+Both a1 routes read one death reader: filter the hook or lhook at tau by
+a level on its points, and find the least level at which the map from or
+to the column dies on homology.  The routes differ only in the level.
+The algebraic route filters by i; the surgery route by the step level
+that the (n,1)-cable of the meridian induces on the hook (the
+large-surgery model), the second coordinate of meridian_filtration and
+the only definition of a step level here.  Their agreement is the
+theorem the test suite exercises.
 
 Each cutoff family is a filtration of one complex, so every cutoff is read
 off one filtered reduction (persistence) instead of one homology per
-level: the column by j for tau, the lhook by i or step level for positive
-a1.  The hook families are quotients, whose duals are subcomplexes, so
-negative a1 reduces the dual (cochain) complex and tracks cocycles.
-epsilon asks whether the unclipped maps die at all, so it reads which of
-the two a1 reductions finds a level, and a1_algebraic reads that level.
+level: the column by j for tau, the lhook by level for positive a1.  The
+hook families are quotients, whose duals are subcomplexes, so negative a1
+reduces the dual (cochain) complex and tracks cocycles.  epsilon asks
+whether the maps die at all, so it reads which of the two algebraic
+reductions finds a level, and a1_algebraic reads that level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .complexes import CfkComplex, CfkError
 from .gf2 import image_and_kernel
 from .homology import F2Complex, chain_map_by_points, dual, homology, realize, sorted_by_level
-from .regions import LatticePoint, Region, RegionError
+from .regions import Region
 
 
 class InvariantViolation(CfkError):
@@ -54,30 +57,6 @@ def meridian_filtration(i: int, j: int, m: int, n: int) -> BiFiltrationLevel:
     if k < n:
         return BiFiltrationLevel(j - m, j - m - k)
     return BiFiltrationLevel(j - m, j - m - n)
-
-
-def hook_step_level(point: LatticePoint | tuple, m: int, n: int) -> int:
-    """Step of a hook point in the (n+1)-level filtration, as offset from top.
-
-    The vertical part sits at the top; arm points drop one level per unit
-    of i until the bottom, which collects everything at i <= -n.
-    """
-    gen, i, j = point
-    if n < 1:
-        raise ValueError(f"cable parameter must be at least 1, got {n}")
-    if not Region("hook", m).contains(i, j):
-        raise RegionError(f"point {point} lies outside the hook at {m}")
-    if i == 0:
-        return 0
-    return max(i, -n)
-
-
-def _lhook_step_level(point: LatticePoint, n: int) -> int:
-    # Mirror image of hook_step_level: vertical part at the bottom (0), arm
-    # points climb one level per unit of i, saturating at n.
-    if point.i <= 0:
-        return 0
-    return min(point.i, n)
 
 
 class _Death(NamedTuple):
@@ -125,28 +104,31 @@ def _inside(x: F2Complex, region: Region) -> frozenset[int]:
     return frozenset(k for k, p in enumerate(x.points) if region.contains(p.i, p.j))
 
 
-@lru_cache(maxsize=4096)
-def _hook_deaths(complex: CfkComplex) -> tuple[_Death, _Death]:
-    """Where the unclipped maps f: column -> lhook and g: hook -> column die at tau.
+def _death(complex: CfkComplex, shape: str, level: Callable[[int, int], int]) -> _Death:
+    """Where the map between the column and the hook or lhook at tau dies.
 
-    f is read off the lhook in ascending i.  g is read off its dual: the
-    same-point map from the dual column into the dual hook, in descending
-    i, which dies on cohomology exactly when g dies on homology.
+    The region's points are filtered by level(i, j).  On the lhook the map
+    f: column -> lhook dies at a sublevel set, read off the lhook in
+    ascending level.  On the hook, g: hook -> column dies at a quotient,
+    read off its dual: the same-point map from the dual column into the
+    dual hook in descending level, which dies on cohomology exactly when
+    g dies on homology.  Either map keeps the column points in the region.
     """
     t = tau(complex)
     column = _column(complex)
-    lhook = realize(complex, Region("lhook", t))
-    hook = realize(complex, Region("hook", t))
-    f = _death_level(
-        column, lhook, tuple(p.i for p in lhook.points), _inside(column, Region("lhook", t))
-    )
-    g = _death_level(
-        dual(column),
-        dual(hook),
-        tuple(-p.i for p in hook.points),
-        _inside(column, Region("hook", t)),
-    )
-    return f, g
+    region = Region(shape, t)
+    target = realize(complex, region)
+    levels = tuple(level(p.i, p.j) for p in target.points)
+    survivors = _inside(column, region)
+    if shape == "lhook":
+        return _death_level(column, target, levels, survivors)
+    return _death_level(dual(column), dual(target), tuple(-s for s in levels), survivors)
+
+
+@lru_cache(maxsize=4096)
+def _hook_deaths(complex: CfkComplex) -> tuple[_Death, _Death]:
+    """Where the maps f: column -> lhook and g: hook -> column die by i."""
+    return _death(complex, "lhook", lambda i, j: i), _death(complex, "hook", lambda i, j: i)
 
 
 @lru_cache(maxsize=4096)
@@ -169,7 +151,7 @@ def tau(complex: CfkComplex) -> int:
 
 @lru_cache(maxsize=4096)
 def epsilon(complex: CfkComplex) -> int:
-    """Sign invariant from which of the two unclipped hook maps dies on homology."""
+    """Sign invariant from which of the two hook maps dies on homology."""
     f, g = _hook_deaths(complex)
     if f.level is not None and g.level is not None:
         raise InvariantViolation("both hook maps vanish on homology")
@@ -182,14 +164,14 @@ def epsilon(complex: CfkComplex) -> int:
 
 @lru_cache(maxsize=4096)
 def a1_algebraic(complex: CfkComplex) -> int:
-    """Refinement of epsilon measured through clipped hook maps.
+    """Refinement of epsilon: where the hook map of its sign dies, by i.
 
-    For positive sign: the least clip s at which the column-to-lhook map
-    dies on homology, read off the lhook reduced in ascending i.  For
-    negative sign: minus the least clip at which the hook-to-column map
-    dies, read off the dual hook reduced in descending i, where the
-    clipped quotients become sublevel complexes and the pulled-back
-    column cocycles must become coboundaries.  Zero sign gives zero.
+    For positive sign: the least s at which the column-to-lhook map dies
+    on homology once the lhook is cut to {i <= s}.  For negative sign:
+    minus the least s at which the hook-to-column map dies once the hook
+    is cut to {i >= -s}, read off the dual hook, where those quotients
+    become sublevel complexes and the pulled-back column cocycles must
+    become coboundaries.  Zero sign gives zero.
     """
     eps = epsilon(complex)
     if eps == 0:
@@ -204,15 +186,14 @@ def a1_algebraic(complex: CfkComplex) -> int:
 def a1_surgery(complex: CfkComplex, n: int) -> int:
     """a1 read off the meridian-cable step filtration on the surgery models.
 
-    Negative sign: drop hook levels from the bottom until the map to the
-    column complex dies on homology; the answer is minus the number of
-    dropped arm levels.  The quotients are sublevel complexes of the dual
-    hook ordered by minus the step level, so one reduction of it finds
-    the cutoff.  Positive sign: grow the mirror-shaped filtration from
-    the bottom until the map from the column complex into it dies, read
-    off one reduction of the lhook in ascending step level.  Requires n
-    above twice the genus bound, the regime where step levels agree with
-    the i-coordinate on occupied points.
+    The algebraic route with step levels in place of i.  Negative sign:
+    drop hook levels from the bottom until the map to the column dies on
+    homology; the answer is minus the number of dropped arm levels.
+    Positive sign: grow the lhook from the bottom until the map from the
+    column into it dies; the lhook at t is the mirror image of the hook
+    at -t, so it carries the mirrored step levels.  Requires n above
+    twice the genus bound, the regime where step levels agree with the
+    i-coordinate on occupied points.
     """
     g = complex.genus_bound
     if n <= 2 * g:
@@ -221,22 +202,13 @@ def a1_surgery(complex: CfkComplex, n: int) -> int:
     if eps == 0:
         return 0
     t = tau(complex)
-    column = _column(complex)
     if eps == -1:
-        hook = realize(complex, Region("hook", t))
-        steps = tuple(hook_step_level(p, t, n) for p in hook.points)
-        top = {p for p, step in zip(hook.points, steps) if step == 0}
-        survivors = frozenset(k for k, p in enumerate(column.points) if p in top)
-        levels = tuple(-step for step in steps)
-        m = _death_level(dual(column), dual(hook), levels, survivors).level
+        s = _death(complex, "hook", lambda i, j: meridian_filtration(i, j, t, n).second).level
     else:
-        lhook = realize(complex, Region("lhook", t))
-        steps = tuple(_lhook_step_level(p, n) for p in lhook.points)
-        survivors = frozenset(k for k, p in enumerate(column.points) if p.i == 0 and p.j >= t)
-        m = _death_level(column, lhook, steps, survivors).level
-    if m is None or m > 2 * g + 2:
+        s = _death(complex, "lhook", lambda i, j: -meridian_filtration(-i, -j, -t, n).second).level
+    if s is None or s > 2 * g + 2:
         raise SearchExhausted(f"surgery a1 search exhausted [0, {2 * g + 2}]")
-    return eps * m
+    return eps * s
 
 
 def i_filtration_coincides(complex: CfkComplex, m: int, n: int) -> bool:
@@ -244,15 +216,17 @@ def i_filtration_coincides(complex: CfkComplex, m: int, n: int) -> bool:
 
     True exactly when no occupied hook point falls into the truncated
     bottom level; with |m| within the genus bound and n above twice of it
-    this is a theorem, surfaced here as a runtime check.
+    this is a theorem, surfaced here as a runtime check.  Each generator
+    occupies the hook at one point, read off its Alexander grading.
     """
     g = complex.genus_bound
     if abs(m) > g:
         raise ValueError(f"slot {m} outside the genus bound {g}")
     if n <= 2 * g:
         raise ValueError(f"need n > {2 * g} (twice the genus bound), got {n}")
-    hook = realize(complex, Region("hook", m))
-    return all(hook_step_level(p, m, n) == p.i for p in hook.points)
+    hook = Region("hook", m)
+    points = (hook.point(x.alexander) for x in complex.generators)
+    return all(meridian_filtration(i, j, m, n).second == i for i, j in points)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from .invariants import (
     a1_surgery,
     connect_sum_rules,
     epsilon,
-    hook_step_level,
     i_filtration_coincides,
     meridian_filtration,
     tau,
@@ -282,8 +281,7 @@ def prop_step_level_consistency(ctx: SuiteContext) -> tuple[int, list[str]]:
             for n in (1, 2, 2 * g + 1):
                 for p in hook.points:
                     cases += 1
-                    level = meridian_filtration(p.i, p.j, m, n)
-                    if hook_step_level(p, m, n) != level.second or level.first != 0:
+                    if meridian_filtration(p.i, p.j, m, n) != (0, max(p.i, -n)):
                         failures.append(_offender(c, f"step level mismatch at {p}"))
     return cases, failures
 

@@ -7,7 +7,8 @@ dimensions small.  The cutoff walks do share the elimination: they are
 independent in search strategy instead, realizing one clipped region or
 filtration piece per level and asking whether a map between plain
 complexes is zero on homology, where the package reads every cutoff, and
-epsilon, off one filtered reduction.
+epsilon, off one filtered reduction.  The surgery walk takes its step
+levels from the closed forms below, not from the package's cable formula.
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ from cfk.homology import (
     realize,
     with_filtration,
 )
-from cfk.invariants import (
-    InvariantViolation,
-    SearchExhausted,
-    _lhook_step_level,
-    hook_step_level,
-)
+from cfk.invariants import InvariantViolation, SearchExhausted
 from cfk.regions import Region, RegionError
 
 
@@ -74,6 +70,16 @@ def region_reference(shape: str, level: int, clip: int | None, i: int, j: int) -
     if shape == "lhook":
         return min(i, j - level) == 0 and (clip is None or i <= clip)
     raise ValueError(f"unknown shape {shape!r}")
+
+
+def hook_step(i: int, n: int) -> int:
+    """Step level of a hook point: arm points drop with i until n levels down."""
+    return max(i, -n)
+
+
+def lhook_step(i: int, n: int) -> int:
+    """Step level of an lhook point: arm points climb with i until n levels up."""
+    return min(i, n)
 
 
 def sympy_torus_exponents(p: int, q: int) -> tuple[int, ...]:
@@ -230,7 +236,7 @@ def a1_surgery_by_walk(complex, n: int) -> int:
 
     if eps == -1:
         hook = realize(complex, Region("hook", t))
-        hook = with_filtration(hook, tuple(hook_step_level(p, t, n) for p in hook.points))
+        hook = with_filtration(hook, tuple(hook_step(p.i, n) for p in hook.points))
         for m in range(0, 2 * g + 3):
             quotient = filtration_quotient(hook, -m)
             survivors = {k for k, p in enumerate(quotient.points) if p.i == 0}
@@ -239,7 +245,7 @@ def a1_surgery_by_walk(complex, n: int) -> int:
                 return -m
     else:
         lhook = realize(complex, Region("lhook", t))
-        lhook = with_filtration(lhook, tuple(_lhook_step_level(p, n) for p in lhook.points))
+        lhook = with_filtration(lhook, tuple(lhook_step(p.i, n) for p in lhook.points))
         for m in range(0, 2 * g + 3):
             sublevel = filtration_subcomplex(lhook, m)
             survivors = {

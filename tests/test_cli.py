@@ -7,6 +7,8 @@ from cfk.builders import build_library
 from cfk.complexes import parse, serialize
 from cfk.invariants import meridian_filtration
 
+from oracles import hook_step
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -49,12 +51,17 @@ def test_a1_both_methods(capsys):
 
 
 def test_filtration_values(capsys):
-    code, out, _ = run(capsys, "filtration", "--knot", "T(2,3)", "--m", "0", "--n", "3",
-                       "--format", "json")
-    assert code == 0
-    for row in json.loads(out):
-        level = meridian_filtration(row["i"], row["j"], 0, 3)
-        assert (row["first"], row["second"]) == (level.first, level.second)
+    # at m = -1 and n = 1 the arm point at i = -2 saturates to step -1
+    for m, n in ((0, 3), (-1, 1)):
+        code, out, _ = run(capsys, "filtration", "--knot", "T(2,3)", "--m", str(m),
+                           "--n", str(n), "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        for row in rows:
+            level = meridian_filtration(row["i"], row["j"], m, n)
+            assert (row["first"], row["second"]) == (level.first, level.second)
+            assert row["step"] == hook_step(row["i"], n)
+    assert any(row["step"] != row["i"] for row in rows)
 
 
 def test_tensor_emits_complex(capsys):

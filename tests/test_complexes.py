@@ -1,4 +1,5 @@
 import pickle
+import sys
 from dataclasses import replace
 
 import pytest
@@ -248,6 +249,33 @@ def test_unreadable_text_exits_1_through_validate(capsys, tmp_path):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: ") and "Traceback" not in out.err
+
+
+# an integer literal longer than the interpreter's digit limit (4300 by default)
+_LONG_INT = (
+    '{"name": "x", "generators": [{"id": "a", "alexander": ' + "9" * 5000 + "}],"
+    ' "differential": []}'
+)
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_needs_digit_limit = pytest.mark.skipif(
+    not 0 < _digit_limit < 5000, reason="interpreter reads 5000-digit integers"
+)
+
+
+@_needs_digit_limit
+def test_parse_rejects_overlong_integer():
+    with pytest.raises(ParseError, match="number out of range"):
+        parse(_LONG_INT)
+
+
+@_needs_digit_limit
+def test_overlong_integer_exits_1_through_validate(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(_LONG_INT)
+    assert main(["validate", "--file", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: number out of range") and "Traceback" not in out.err
 
 
 def test_parse_distinct_from_validation():

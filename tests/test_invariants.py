@@ -19,15 +19,21 @@ from cfk.invariants import (
     connect_sum_prediction,
     connect_sum_rules,
     epsilon,
-    hook_step_level,
     invariants,
     meridian_filtration,
     tau,
 )
-from cfk.regions import LatticePoint, Region, RegionError
+from cfk.regions import Region
 from cfk.homology import homology, realize
 
-from oracles import a1_algebraic_by_walk, a1_surgery_by_walk, epsilon_by_maps, tau_by_walk
+from oracles import (
+    a1_algebraic_by_walk,
+    a1_surgery_by_walk,
+    epsilon_by_maps,
+    hook_step,
+    lhook_step,
+    tau_by_walk,
+)
 
 
 # -- the filtration formula ---------------------------------------------------
@@ -70,31 +76,33 @@ def test_meridian_filtration_n1_has_no_middle_case(i, j, m):
     assert first - second in (0, 1)
 
 
-# -- step levels on the hook --------------------------------------------------
+# -- step levels on the hook and the lhook -------------------------------------
 
 
 def test_hook_step_level_cases():
-    assert hook_step_level(LatticePoint("x", 0, -1), 0, 3) == 0
-    assert hook_step_level(LatticePoint("x", -2, 5), 5, 3) == -2
-    assert hook_step_level(LatticePoint("x", -5, 5), 5, 3) == -3
-
-
-def test_hook_step_level_outside_hook():
-    with pytest.raises(RegionError):
-        hook_step_level(LatticePoint("x", 1, 0), 0, 3)
-    with pytest.raises(ValueError):
-        hook_step_level(LatticePoint("x", 0, 0), 0, 0)
+    # (i, j, m, n): the vertical part, an arm point, a saturated arm point
+    assert meridian_filtration(0, -1, 0, 3).second == 0
+    assert meridian_filtration(-2, 5, 5, 3).second == -2
+    assert meridian_filtration(-5, 5, 5, 3).second == -3
 
 
 def test_step_levels_match_filtration_second_coordinate(library):
+    saturated = 0
     for c in library.values():
         g = c.genus_bound
         for m in (-g, 0, g):
-            for p in realize(c, Region("hook", m)).points:
-                for n in (1, 3, 2 * g + 1):
-                    level = meridian_filtration(p.i, p.j, m, n)
-                    assert level.first == 0
-                    assert hook_step_level(p, m, n) == level.second
+            hook = realize(c, Region("hook", m)).points
+            lhook = realize(c, Region("lhook", m)).points
+            for n in (1, 2, 3, 2 * g + 1):
+                for p in hook:
+                    assert meridian_filtration(p.i, p.j, m, n) == (0, hook_step(p.i, n))
+                    saturated += hook_step(p.i, n) != p.i
+                for p in lhook:
+                    # the lhook at m is the mirror image of the hook at -m
+                    level = meridian_filtration(-p.i, -p.j, -m, n)
+                    assert (-level.first, -level.second) == (0, lhook_step(p.i, n))
+                    saturated += lhook_step(p.i, n) != p.i
+    assert saturated > 0
 
 
 # -- tau ----------------------------------------------------------------------
@@ -182,6 +190,15 @@ def test_a1_thin_models():
 
 
 # -- the i-filtration coincidence ----------------------------------------------
+
+
+def test_i_filtration_reads_gradings_only(library):
+    realize.cache_clear()
+    for c in library.values():
+        g = c.genus_bound
+        for m in range(-g, g + 1):
+            assert i_filtration_coincides(c, m, 2 * g + 1), (c.name, m)
+    assert realize.cache_info().misses == 0
 
 
 def test_i_filtration_hypotheses(trefoil):
