@@ -13,7 +13,16 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from math import gcd
 
-from .complexes import CfkComplex, CfkError, DiffEntry, Generator, direct_sum, mirror, tensor
+from .complexes import (
+    CfkComplex,
+    CfkError,
+    DiffEntry,
+    Generator,
+    ParameterError,
+    direct_sum,
+    mirror,
+    tensor,
+)
 
 
 @dataclass(frozen=True)
@@ -30,13 +39,13 @@ class AlexanderExponents:
         e = tuple(self.exponents)
         object.__setattr__(self, "exponents", e)
         if not e:
-            raise ValueError("empty exponent list")
+            raise ParameterError("empty exponent list")
         if any(a <= b for a, b in zip(e, e[1:])):
-            raise ValueError(f"exponents not strictly decreasing: {e}")
+            raise ParameterError(f"exponents not strictly decreasing: {e}")
         if list(e) != [-x for x in reversed(e)]:
-            raise ValueError(f"exponents not symmetric under negation: {e}")
+            raise ParameterError(f"exponents not symmetric under negation: {e}")
         if len(e) % 2 == 0:
-            raise ValueError(f"need an odd number of exponents, got {len(e)}")
+            raise ParameterError(f"need an odd number of exponents, got {len(e)}")
 
     def __len__(self) -> int:
         return len(self.exponents)
@@ -191,9 +200,9 @@ def torus_knot_exponents(p: int, q: int) -> AlexanderExponents:
     (6, 5, 2, 0, -2, -5, -6)
     """
     if p < 1 or q < 1:
-        raise ValueError(f"need positive parameters, got ({p}, {q})")
+        raise ParameterError(f"need positive parameters, got ({p}, {q})")
     if gcd(p, q) != 1:
-        raise ValueError(f"parameters ({p}, {q}) are not coprime")
+        raise ParameterError(f"parameters ({p}, {q}) are not coprime")
 
     def one_minus_t_pow(k: int) -> list[int]:
         c = [0] * (k + 1)

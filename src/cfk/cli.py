@@ -287,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CfkError, ValueError) as err:
+    except CfkError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

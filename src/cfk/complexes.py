@@ -28,6 +28,10 @@ class ValidationError(CfkError):
     """A structurally well-formed complex violating an algebraic axiom."""
 
 
+class ParameterError(CfkError, ValueError):
+    """A numeric parameter outside the range where an operation is defined."""
+
+
 @dataclass(frozen=True)
 class Generator:
     id: str

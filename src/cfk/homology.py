@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Container
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import gf2
 from .complexes import CfkComplex
@@ -29,18 +29,6 @@ class F2Complex:
     points: tuple[LatticePoint, ...]
     boundary: tuple[int, ...]
     filtration: tuple[int, ...] | None = None
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.points, self.boundary, self.filtration))
-
-    def __hash__(self) -> int:
-        # Complexes key the homology cache, so hash the point tuples once.
-        return self._hash
-
-    def __getstate__(self) -> dict:
-        # String hashes differ between processes: never pickle a cached one.
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @property
     def dim(self) -> int:
@@ -102,13 +90,16 @@ class HomologyResult:
     representatives: tuple[int, ...]  # cycle bitmasks over the basis
 
 
-@lru_cache(maxsize=8192)
 def homology(x: F2Complex) -> HomologyResult:
     """Kernel-mod-image over the two-element field.
 
     Representatives are kernel vectors that stay independent from the
     boundary image, chosen greedily in the deterministic kernel order by
     extending the basis that split the columns into image and kernel.
+    Not cached: every cache in cfk is keyed on the knot complex plus small
+    values.  realize is keyed on (complex, region), the invariants' sorted
+    column and its homology on the complex, and their death reader on
+    (complex, shape, levels).
     """
     basis, kernel = gf2.image_and_kernel(list(x.boundary))
     reps = [z for z in kernel if basis.add(z, 0)[0]]

@@ -16,17 +16,31 @@ hook families are quotients, whose duals are subcomplexes, so negative a1
 reduces the dual (cochain) complex and tracks cocycles.  epsilon asks
 whether the maps die at all, so it reads which of the two algebraic
 reductions finds a level, and a1_algebraic reads that level.
+
+Caches are keyed on the knot complex plus small values, never on a chain
+complex: _column on the complex, the death reader on (complex, shape,
+levels).  tau, epsilon and a1 are plain reads of those entries, and the
+surgery route hits the algebraic route's entry exactly when its levels
+equal i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .complexes import CfkComplex, CfkError
-from .gf2 import image_and_kernel
-from .homology import F2Complex, chain_map_by_points, dual, homology, realize, sorted_by_level
+from . import gf2
+from .complexes import CfkComplex, CfkError, ParameterError
+from .homology import (
+    F2Complex,
+    HomologyResult,
+    chain_map_by_points,
+    dual,
+    homology,
+    realize,
+    sorted_by_level,
+)
 from .regions import Region
 
 
@@ -50,7 +64,7 @@ def meridian_filtration(i: int, j: int, m: int, n: int) -> BiFiltrationLevel:
     k above it, [j-m, j-m-k]; from height n on the drop saturates at n.
     """
     if n < 1:
-        raise ValueError(f"cable parameter must be at least 1, got {n}")
+        raise ParameterError(f"cable parameter must be at least 1, got {n}")
     if j <= m + i:
         return BiFiltrationLevel(i, i)
     k = j - m - i
@@ -65,27 +79,50 @@ class _Death(NamedTuple):
 
 
 @lru_cache(maxsize=4096)
-def _death_level(
-    source: F2Complex, target: F2Complex, levels: tuple[int, ...], survivors: frozenset[int]
-) -> _Death:
-    """Least level s, at least 0, at which source -> {level <= s} dies on homology.
+def _column(complex: CfkComplex) -> tuple[F2Complex, HomologyResult]:
+    """The column at i = 0, re-indexed in ascending j, and its homology."""
+    column = realize(complex, Region("vertical", 0))
+    column = sorted_by_level(column, tuple(p.j for p in column.points))
+    return column, homology(column)
 
-    The map sends each surviving source point to the same lattice point of
-    the target, whose sublevel sets must be subcomplexes.  One reduction of
-    the target's boundary in ascending level gives basis vectors whose
-    combos have their own column as top bit, so the top bit of the combo
-    that writes f(z) as a boundary is the last column needed.  The level is
-    None when some f(z) is not a boundary at all.  The same reduction gives
-    the target's homology dimension, kernel size minus rank.  Results are
-    cached: both a1 routes ask for the same reduction whenever their levels
-    agree.
+
+def _levels(complex: CfkComplex, shape: str, level: Callable[[int, int], int]) -> tuple[int, ...]:
+    """level(i, j) on each point of the hook or lhook at tau, in basis order."""
+    return tuple(level(p.i, p.j) for p in realize(complex, Region(shape, tau(complex))).points)
+
+
+@lru_cache(maxsize=4096)
+def _death_at(complex: CfkComplex, shape: str, levels: tuple[int, ...]) -> _Death:
+    """Where the map between the column and the hook or lhook at tau dies.
+
+    The region's points carry the given levels, and the answer is the least
+    level s, at least 0, at which the map dies on homology.  On the lhook,
+    f: column -> {level <= s} sends each column point inside the region to
+    the same lattice point.  One reduction of the lhook's boundary in
+    ascending level gives basis vectors whose combos have their own column
+    as top bit, so the top bit of the combo that writes f(z) as a boundary
+    is the last column needed; the level is None when some f(z) is not a
+    boundary at all.  On the hook, g: hook -> column dies at a quotient,
+    read off its dual: the same-point map from the dual column into the dual
+    hook in descending level, which dies on cohomology exactly when g dies
+    on homology.  The same reduction gives the target's homology dimension,
+    kernel size minus rank.  Both a1 routes read through here, and share an
+    entry whenever their levels agree.
     """
+    column, h = _column(complex)
+    region = Region(shape, tau(complex))
+    target = realize(complex, region)
+    survivors = {k for k, p in enumerate(column.points) if region.contains(p.i, p.j)}
+    reps = h.representatives
+    if shape == "hook":
+        column, target, levels = dual(column), dual(target), tuple(-s for s in levels)
+        reps = homology(column).representatives
     target = sorted_by_level(target, levels)
-    f = chain_map_by_points(source, target, survivors)
-    basis, kernel = image_and_kernel(list(target.boundary))
+    f = chain_map_by_points(column, target, survivors)
+    basis, kernel = gf2.image_and_kernel(list(target.boundary))
     dim = len(kernel) - basis.rank
     last = -1
-    for z in homology(source).representatives:
+    for z in reps:
         remainder, combo = basis.reduce(f.apply(z))
         if remainder:
             return _Death(None, dim)
@@ -93,45 +130,12 @@ def _death_level(
     return _Death(max(0, target.filtration[last]) if last >= 0 else 0, dim)
 
 
-@lru_cache(maxsize=4096)
-def _column(complex: CfkComplex) -> F2Complex:
-    """The column at i = 0, re-indexed in ascending j."""
-    column = realize(complex, Region("vertical", 0))
-    return sorted_by_level(column, tuple(p.j for p in column.points))
-
-
-def _inside(x: F2Complex, region: Region) -> frozenset[int]:
-    return frozenset(k for k, p in enumerate(x.points) if region.contains(p.i, p.j))
-
-
-def _death(complex: CfkComplex, shape: str, level: Callable[[int, int], int]) -> _Death:
-    """Where the map between the column and the hook or lhook at tau dies.
-
-    The region's points are filtered by level(i, j).  On the lhook the map
-    f: column -> lhook dies at a sublevel set, read off the lhook in
-    ascending level.  On the hook, g: hook -> column dies at a quotient,
-    read off its dual: the same-point map from the dual column into the
-    dual hook in descending level, which dies on cohomology exactly when
-    g dies on homology.  Either map keeps the column points in the region.
-    """
-    t = tau(complex)
-    column = _column(complex)
-    region = Region(shape, t)
-    target = realize(complex, region)
-    levels = tuple(level(p.i, p.j) for p in target.points)
-    survivors = _inside(column, region)
-    if shape == "lhook":
-        return _death_level(column, target, levels, survivors)
-    return _death_level(dual(column), dual(target), tuple(-s for s in levels), survivors)
-
-
-@lru_cache(maxsize=4096)
-def _hook_deaths(complex: CfkComplex) -> tuple[_Death, _Death]:
+def _deaths_by_i(complex: CfkComplex) -> tuple[_Death, _Death]:
     """Where the maps f: column -> lhook and g: hook -> column die by i."""
-    return _death(complex, "lhook", lambda i, j: i), _death(complex, "hook", lambda i, j: i)
+    f, g = (_death_at(complex, s, _levels(complex, s, lambda i, j: i)) for s in ("lhook", "hook"))
+    return f, g
 
 
-@lru_cache(maxsize=4096)
 def tau(complex: CfkComplex) -> int:
     """Least cutoff s whose column subcomplex {j <= s} still sees the homology generator.
 
@@ -141,18 +145,17 @@ def tau(complex: CfkComplex) -> int:
     basis point.
     """
     g = complex.genus_bound
-    by_j = _column(complex)
-    reps = homology(by_j).representatives
+    by_j, h = _column(complex)
+    reps = h.representatives
     s = by_j.filtration[reps[0].bit_length() - 1] if reps else None
     if s is None or not -g - 1 <= s <= g + 1:
         raise SearchExhausted(f"tau not found in [{-g - 1}, {g + 1}]; complex invalid")
     return s
 
 
-@lru_cache(maxsize=4096)
 def epsilon(complex: CfkComplex) -> int:
     """Sign invariant from which of the two hook maps dies on homology."""
-    f, g = _hook_deaths(complex)
+    f, g = _deaths_by_i(complex)
     if f.level is not None and g.level is not None:
         raise InvariantViolation("both hook maps vanish on homology")
     if f.level is not None:
@@ -162,7 +165,6 @@ def epsilon(complex: CfkComplex) -> int:
     return 0
 
 
-@lru_cache(maxsize=4096)
 def a1_algebraic(complex: CfkComplex) -> int:
     """Refinement of epsilon: where the hook map of its sign dies, by i.
 
@@ -177,7 +179,7 @@ def a1_algebraic(complex: CfkComplex) -> int:
     if eps == 0:
         return 0
     g = complex.genus_bound
-    s = _hook_deaths(complex)[0 if eps == 1 else 1].level
+    s = _deaths_by_i(complex)[0 if eps == 1 else 1].level
     if s > 2 * g + 2:
         raise SearchExhausted(f"a1 search exhausted [0, {2 * g + 2}]; complex invalid")
     return eps * s
@@ -197,15 +199,17 @@ def a1_surgery(complex: CfkComplex, n: int) -> int:
     """
     g = complex.genus_bound
     if n <= 2 * g:
-        raise ValueError(f"need n > {2 * g} (twice the genus bound), got {n}")
+        raise ParameterError(f"need n > {2 * g} (twice the genus bound), got {n}")
     eps = epsilon(complex)
     if eps == 0:
         return 0
     t = tau(complex)
     if eps == -1:
-        s = _death(complex, "hook", lambda i, j: meridian_filtration(i, j, t, n).second).level
+        levels = _levels(complex, "hook", lambda i, j: meridian_filtration(i, j, t, n).second)
+        s = _death_at(complex, "hook", levels).level
     else:
-        s = _death(complex, "lhook", lambda i, j: -meridian_filtration(-i, -j, -t, n).second).level
+        levels = _levels(complex, "lhook", lambda i, j: -meridian_filtration(-i, -j, -t, n).second)
+        s = _death_at(complex, "lhook", levels).level
     if s is None or s > 2 * g + 2:
         raise SearchExhausted(f"surgery a1 search exhausted [0, {2 * g + 2}]")
     return eps * s
@@ -221,9 +225,9 @@ def i_filtration_coincides(complex: CfkComplex, m: int, n: int) -> bool:
     """
     g = complex.genus_bound
     if abs(m) > g:
-        raise ValueError(f"slot {m} outside the genus bound {g}")
+        raise ParameterError(f"slot {m} outside the genus bound {g}")
     if n <= 2 * g:
-        raise ValueError(f"need n > {2 * g} (twice the genus bound), got {n}")
+        raise ParameterError(f"need n > {2 * g} (twice the genus bound), got {n}")
     hook = Region("hook", m)
     points = (hook.point(x.alexander) for x in complex.generators)
     return all(meridian_filtration(i, j, m, n).second == i for i, j in points)
@@ -241,34 +245,18 @@ class InvariantReport:
     homology_dims: dict[str, int]
 
     def rows(self) -> list[tuple[str, str]]:
-        out = [
-            ("name", self.name),
-            ("tau", str(self.tau)),
-            ("epsilon", str(self.epsilon)),
-            ("a1", str(self.a1)),
-            ("a1_surgery", str(self.a1_surgery)),
-            ("surgery_n", str(self.surgery_n)),
-            ("genus_bound", str(self.genus_bound)),
+        values = self.as_dict()
+        dims = values.pop("homology_dims")
+        return [(k, str(v)) for k, v in values.items()] + [
+            (f"dim H {kind}", str(dim)) for kind, dim in dims.items()
         ]
-        for kind, dim in self.homology_dims.items():
-            out.append((f"dim H {kind}", str(dim)))
-        return out
 
     def as_table(self) -> str:
         width = max(len(k) for k, _ in self.rows())
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in self.rows())
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "tau": self.tau,
-            "epsilon": self.epsilon,
-            "a1": self.a1,
-            "a1_surgery": self.a1_surgery,
-            "surgery_n": self.surgery_n,
-            "genus_bound": self.genus_bound,
-            "homology_dims": dict(self.homology_dims),
-        }
+        return asdict(self)
 
 
 def invariants(complex: CfkComplex, n: int | None = None) -> InvariantReport:
@@ -286,9 +274,9 @@ def invariants(complex: CfkComplex, n: int | None = None) -> InvariantReport:
     eps = epsilon(complex)
     if (a1 > 0) - (a1 < 0) != eps:
         raise InvariantViolation(f"sgn(a1) != epsilon on {complex.name}")
-    lhook, hook = _hook_deaths(complex)
+    lhook, hook = _deaths_by_i(complex)
     dims = {
-        "vertical": homology(_column(complex)).dimension,
+        "vertical": _column(complex)[1].dimension,
         "hook": hook.target_dim,
         "lhook": lhook.target_dim,
     }

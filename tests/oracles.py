@@ -121,10 +121,15 @@ def _boundary_span(x: F2Complex) -> XorBasis:
     return image_and_kernel(list(x.boundary))[0]
 
 
+@lru_cache(maxsize=4096)
+def _representatives(x: F2Complex) -> tuple[int, ...]:
+    return homology(x).representatives
+
+
 def is_trivial(f: ChainMap) -> bool:
     """Zero induced map: every source representative maps to a target boundary."""
     boundaries = _boundary_span(f.target)
-    return all(boundaries.reduce(f.apply(z))[0] == 0 for z in homology(f.source).representatives)
+    return all(boundaries.reduce(f.apply(z))[0] == 0 for z in _representatives(f.source))
 
 
 def quotient_then_include(complex, source_region: Region, target_region: Region) -> ChainMap:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cfk import cli
 from cfk.cli import main
 from cfk.builders import build_library
 from cfk.complexes import parse, serialize
@@ -161,6 +162,27 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "invariants", "--file", "/no/such/file.json")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("a1", "--knot", "T(2,3)", "--n", "2"),
+    ("filtration", "--knot", "T(2,3)", "--m", "0", "--n", "0"),
+    ("staircase", "--torus", "2,4"),
+])
+def test_parameter_errors_exit_1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+def test_bare_value_error_is_a_bug_not_an_error_line(capsys, monkeypatch):
+    def broken():
+        raise ValueError("not a cfk error")
+
+    monkeypatch.setattr(cli, "library_names", broken)
+    with pytest.raises(ValueError, match="not a cfk error"):
+        main(["list"])
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_usage_error_exits_2(capsys):

@@ -11,8 +11,11 @@ from cfk.builders import (
     torus_knot_exponents,
 )
 from cfk.complexes import mirror, parse, tensor, validate
+from cfk import gf2
 from cfk.invariants import (
     SearchExhausted,
+    _column,
+    _death_at,
     a1_algebraic,
     a1_surgery,
     i_filtration_coincides,
@@ -279,12 +282,31 @@ def test_cost_does_not_grow_with_genus():
     misses = []
     for k in (10, 10**6):
         c = thin_model(1, boxes=1, box_offset=k)
-        for cached in (realize, tau, epsilon, a1_algebraic):
+        for cached in (realize, _column, _death_at):
             cached.cache_clear()
         rep = invariants(c)
         misses.append(realize.cache_info().misses)
         assert (rep.tau, rep.epsilon, rep.a1) == (1, 1, 1)
     assert misses[0] == misses[1]
+
+
+def test_report_cost_and_route_sharing(library, monkeypatch):
+    # four eliminations per cold report: the column, its dual, the lhook and
+    # the dual hook; the surgery route then reads the algebraic entries
+    calls = []
+    kernel = gf2.image_and_kernel
+    monkeypatch.setattr(gf2, "image_and_kernel", lambda cols: calls.append(1) or kernel(cols))
+    c = library["T(2,9)"]
+    for cached in (realize, _column, _death_at):
+        cached.cache_clear()
+    invariants(c)
+    assert len(calls) == 4
+    after_report = _death_at.cache_info()
+    assert after_report.misses == 2
+    a1_surgery(c, 2 * c.genus_bound + 1)
+    info = _death_at.cache_info()
+    # epsilon's two reads plus the surgery read, all served by the cache
+    assert (info.hits, info.misses) == (after_report.hits + 3, 2)
 
 
 # -- the full report -------------------------------------------------------------

@@ -1,12 +1,8 @@
-import pickle
-from dataclasses import replace
-
 import pytest
 
 from cfk.builders import box, random_model
 from cfk.complexes import tensor
 from cfk.homology import (
-    F2Complex,
     chain_map_by_points,
     dual,
     homology,
@@ -244,14 +240,3 @@ def test_random_models_brute_homology():
             x = realize(c, r)
             assert homology(x).dimension == brute_homology_dim(x.boundary)
 
-
-def test_f2complex_hash_is_cached_and_private(trefoil):
-    x = realize(trefoil, Region("vertical", 0))
-    copy = F2Complex(x.points, x.boundary)
-    assert copy == x and hash(copy) == hash(x)
-    assert "_hash" in vars(x) and "_hash" not in repr(x)
-    leveled = replace(x, filtration=(1, 1, 0))
-    assert "_hash" not in vars(leveled)
-    assert leveled != x
-    assert hash(leveled) == hash((x.points, x.boundary, (1, 1, 0)))
-    assert "_hash" not in vars(pickle.loads(pickle.dumps(x)))
