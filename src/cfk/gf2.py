@@ -7,11 +7,6 @@ A matrix is a list of column vectors.  Everything is exact; no floats.
 from __future__ import annotations
 
 
-def lowbit(v: int) -> int:
-    """Lowest set bit of v (0 for the zero vector)."""
-    return v & -v
-
-
 class XorBasis:
     """Incremental row-reduced basis with combination tracking.
 
@@ -42,7 +37,7 @@ class XorBasis:
         """Reduce v with the given combo mask and keep it if independent."""
         v, combo = self.reduce(v, combo)
         if v:
-            self.pivots.append(lowbit(v))
+            self.pivots.append(v & -v)  # lowest set bit
             self.vectors.append(v)
             self.combos.append(combo)
         return v, combo

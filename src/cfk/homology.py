@@ -97,9 +97,8 @@ def homology(x: F2Complex) -> HomologyResult:
     boundary image, chosen greedily in the deterministic kernel order by
     extending the basis that split the columns into image and kernel.
     Not cached: every cache in cfk is keyed on the knot complex plus small
-    values.  realize is keyed on (complex, region), the invariants' sorted
-    column and its homology on the complex, and their death reader on
-    (complex, shape, levels).
+    values.  realize is keyed on (complex, region), column on the complex,
+    and the invariants' death reader on (complex, shape, levels).
     """
     basis, kernel = gf2.image_and_kernel(list(x.boundary))
     reps = [z for z in kernel if basis.add(z, 0)[0]]
@@ -176,6 +175,20 @@ def sorted_by_level(x: F2Complex, levels: tuple[int, ...]) -> F2Complex:
         cols.append(col)
     points = tuple(x.points[k] for k in order)
     return with_filtration(F2Complex(points, tuple(cols)), tuple(levels[k] for k in order))
+
+
+@lru_cache(maxsize=4096)
+def column(complex: CfkComplex) -> tuple[F2Complex, HomologyResult]:
+    """The column at i = 0, re-indexed in ascending j, and its homology.
+
+    The one reduction of the column: validate's rank check, direct_sum's
+    summand check, tau, the death reader and the report's vertical
+    dimension all read it.  It raises RegionError unless the U^0 entries
+    keep the Alexander rule and square to zero.
+    """
+    x = realize(complex, Region("vertical", 0))
+    x = sorted_by_level(x, tuple(p.j for p in x.points))
+    return x, homology(x)
 
 
 def dual(x: F2Complex) -> F2Complex:

@@ -18,10 +18,11 @@ whether the maps die at all, so it reads which of the two algebraic
 reductions finds a level, and a1_algebraic reads that level.
 
 Caches are keyed on the knot complex plus small values, never on a chain
-complex: _column on the complex, the death reader on (complex, shape,
-levels).  tau, epsilon and a1 are plain reads of those entries, and the
-surgery route hits the algebraic route's entry exactly when its levels
-equal i.
+complex.  This module owns one, the death reader on (complex, shape,
+levels); the j-sorted column and its homology come from homology.column,
+the entry validate also reads.  tau, epsilon and a1 are plain reads of
+those entries, and the surgery route hits the algebraic route's entry
+exactly when its levels equal i.
 """
 
 from __future__ import annotations
@@ -32,15 +33,7 @@ from typing import Callable, NamedTuple
 
 from . import gf2
 from .complexes import CfkComplex, CfkError, ParameterError
-from .homology import (
-    F2Complex,
-    HomologyResult,
-    chain_map_by_points,
-    dual,
-    homology,
-    realize,
-    sorted_by_level,
-)
+from .homology import chain_map_by_points, column, dual, homology, realize, sorted_by_level
 from .regions import Region
 
 
@@ -49,7 +42,7 @@ class InvariantViolation(CfkError):
 
 
 class SearchExhausted(CfkError):
-    """A bounded invariant search ran out of room; the complex is not valid."""
+    """An invariant fell outside the range the genus bound allows; the complex is not valid."""
 
 
 class BiFiltrationLevel(NamedTuple):
@@ -78,14 +71,6 @@ class _Death(NamedTuple):
     target_dim: int  # dimension of the target's homology
 
 
-@lru_cache(maxsize=4096)
-def _column(complex: CfkComplex) -> tuple[F2Complex, HomologyResult]:
-    """The column at i = 0, re-indexed in ascending j, and its homology."""
-    column = realize(complex, Region("vertical", 0))
-    column = sorted_by_level(column, tuple(p.j for p in column.points))
-    return column, homology(column)
-
-
 def _levels(complex: CfkComplex, shape: str, level: Callable[[int, int], int]) -> tuple[int, ...]:
     """level(i, j) on each point of the hook or lhook at tau, in basis order."""
     return tuple(level(p.i, p.j) for p in realize(complex, Region(shape, tau(complex))).points)
@@ -109,16 +94,16 @@ def _death_at(complex: CfkComplex, shape: str, levels: tuple[int, ...]) -> _Deat
     kernel size minus rank.  Both a1 routes read through here, and share an
     entry whenever their levels agree.
     """
-    column, h = _column(complex)
+    source, h = column(complex)
     region = Region(shape, tau(complex))
     target = realize(complex, region)
-    survivors = {k for k, p in enumerate(column.points) if region.contains(p.i, p.j)}
+    survivors = {k for k, p in enumerate(source.points) if region.contains(p.i, p.j)}
     reps = h.representatives
     if shape == "hook":
-        column, target, levels = dual(column), dual(target), tuple(-s for s in levels)
-        reps = homology(column).representatives
+        source, target, levels = dual(source), dual(target), tuple(-s for s in levels)
+        reps = homology(source).representatives
     target = sorted_by_level(target, levels)
-    f = chain_map_by_points(column, target, survivors)
+    f = chain_map_by_points(source, target, survivors)
     basis, kernel = gf2.image_and_kernel(list(target.boundary))
     dim = len(kernel) - basis.rank
     last = -1
@@ -145,7 +130,7 @@ def tau(complex: CfkComplex) -> int:
     basis point.
     """
     g = complex.genus_bound
-    by_j, h = _column(complex)
+    by_j, h = column(complex)
     reps = h.representatives
     s = by_j.filtration[reps[0].bit_length() - 1] if reps else None
     if s is None or not -g - 1 <= s <= g + 1:
@@ -276,7 +261,7 @@ def invariants(complex: CfkComplex, n: int | None = None) -> InvariantReport:
         raise InvariantViolation(f"sgn(a1) != epsilon on {complex.name}")
     lhook, hook = _deaths_by_i(complex)
     dims = {
-        "vertical": _column(complex)[1].dimension,
+        "vertical": column(complex)[1].dimension,
         "hook": hook.target_dim,
         "lhook": lhook.target_dim,
     }

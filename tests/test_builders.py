@@ -13,7 +13,7 @@ from cfk.builders import (
     unknot,
 )
 from cfk.complexes import CfkError, mirror, serialize, tensor, validate
-from cfk.homology import homology, realize
+from cfk.homology import column, homology, realize
 from cfk.invariants import a1_algebraic, epsilon, tau
 from cfk.regions import Region
 
@@ -96,7 +96,7 @@ def test_alternating_guard_rejects_bad_polynomials():
 
 def test_box_is_acyclic_everywhere():
     b = box()
-    assert b.vertical_homology_dim() == 0
+    assert column(b)[1].dimension == 0
     # vertical edges only in a column; horizontal edges only deep in the arm
     assert homology(realize(b, Region("vertical", 0))).dimension == 0
     assert homology(realize(b, Region("hook", -3))).dimension == 0

@@ -1,4 +1,5 @@
 import pickle
+import random
 import sys
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from cfk.complexes import (
 )
 from cfk.builders import box, unknot
 from cfk.cli import main
+from cfk.homology import column
 from cfk.invariants import invariants
 
 
@@ -74,16 +76,61 @@ def test_vertical_rank_must_be_one():
     assert rep.checks["vertical-homology-rank"] is False
 
 
-def test_d_squared_detected():
-    # chain a -> b -> c with a single composite: d^2(a) = c survives
-    c = CfkComplex(
-        "bad",
+# two complexes the column cannot be realized on: the chain a -> b -> c,
+# whose single composite d^2(a) = c survives, and a single U^0 edge that
+# raises the Alexander grading
+_BROKEN = {
+    "d-squared": CfkComplex(
+        "chain",
         (Generator("a", 2), Generator("b", 1), Generator("c", 0)),
         (DiffEntry("a", "b", 0), DiffEntry("b", "c", 0)),
-    )
-    rep = validate(c)
+    ),
+    "alexander-rule": CfkComplex(
+        "rising", (Generator("a", 0), Generator("b", 1)), (DiffEntry("a", "b", 0),)
+    ),
+}
+
+
+def test_d_squared_detected():
+    rep = validate(_BROKEN["d-squared"])
     assert rep.checks["d-squared"] is False
     assert any("d^2" in e for e in rep.errors)
+
+
+@pytest.mark.parametrize("failed", sorted(_BROKEN))
+def test_broken_complex_fails_validate_on_the_command_line(capsys, tmp_path, failed):
+    path = tmp_path / "broken.json"
+    path.write_text(serialize(_BROKEN[failed]))
+    assert main(["validate", "--file", str(path)]) == 1
+    out = capsys.readouterr()
+    assert f"FAIL {failed}" in out.out and "error: " in out.out
+    assert "vertical" not in out.out and "Traceback" not in out.err
+
+
+def test_direct_sum_refuses_a_d_squared_broken_summand(the_unknot):
+    with pytest.raises(CfkError):
+        direct_sum(_BROKEN["d-squared"], the_unknot)
+
+
+def test_column_check_runs_exactly_when_its_prerequisites_pass(trefoil):
+    # the broken complexes, then random differentials on the trefoil's
+    # generators, which break the Alexander rule and d^2 = 0 in every
+    # combination; validate never raises on them
+    rng = random.Random(0)
+    ids = [g.id for g in trefoil.generators]
+    pool = [DiffEntry(s, t, u) for s in ids for t in ids for u in (0, 1, 2)]
+    randoms = [
+        CfkComplex("r", trefoil.generators, tuple(rng.sample(pool, rng.randint(0, 6))))
+        for _ in range(300)
+    ]
+    seen = set()
+    for c in [*_BROKEN.values(), *randoms]:
+        rep = validate(c)
+        passed = (rep.checks["alexander-rule"], rep.checks["d-squared"])
+        assert ("vertical-homology-rank" in rep.checks) == all(passed), c
+        assert all(passed) or not any("vertical homology" in e for e in rep.errors), c
+        seen.add(passed)
+    assert len(seen) == 4
 
 
 def test_asymmetric_gradings_warn_only():
@@ -156,17 +203,17 @@ def test_tensor_counts(trefoil):
 
 def test_tensor_vertical_dim_multiplies(trefoil):
     b = box()
-    assert tensor(trefoil, trefoil).vertical_homology_dim() == 1
+    assert column(tensor(trefoil, trefoil))[1].dimension == 1
     # box tensor anything stays acyclic in the vertical direction
-    assert tensor(b, trefoil).vertical_homology_dim() == 0
+    assert column(tensor(b, trefoil))[1].dimension == 0
     assert tensor(b, b).structure() != b.structure()  # 16 generators
-    assert tensor(b, unknot()).vertical_homology_dim() == 0
+    assert column(tensor(b, unknot()))[1].dimension == 0
 
 
 def test_direct_sum_with_box(the_unknot):
     s = direct_sum(the_unknot, box())
     assert len(s.generators) == 5
-    assert s.vertical_homology_dim() == 1
+    assert column(s)[1].dimension == 1
     assert validate(s).ok
 
 
@@ -290,6 +337,16 @@ def test_parse_distinct_from_validation():
 def test_genus_bound(t45):
     assert t45.genus_bound == 6
     assert unknot().genus_bound == 0
+
+
+def test_genus_bound_is_cached_per_value(t45):
+    c = parse(serialize(t45))
+    assert "genus_bound" not in vars(c)
+    assert c.genus_bound == 6 and vars(c)["genus_bound"] == 6
+    wider = replace(c, generators=c.generators + (Generator("far", -9),))
+    assert "genus_bound" not in vars(wider) and wider.genus_bound == 9
+    back = pickle.loads(pickle.dumps(c))
+    assert back == c and hash(back) == hash(c) and back.genus_bound == 6
 
 
 def test_canonical_ordering_applied():

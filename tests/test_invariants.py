@@ -14,7 +14,6 @@ from cfk.complexes import mirror, parse, tensor, validate
 from cfk import gf2
 from cfk.invariants import (
     SearchExhausted,
-    _column,
     _death_at,
     a1_algebraic,
     a1_surgery,
@@ -27,7 +26,7 @@ from cfk.invariants import (
     tau,
 )
 from cfk.regions import Region
-from cfk.homology import homology, realize
+from cfk.homology import column, homology, realize
 
 from oracles import (
     a1_algebraic_by_walk,
@@ -282,7 +281,7 @@ def test_cost_does_not_grow_with_genus():
     misses = []
     for k in (10, 10**6):
         c = thin_model(1, boxes=1, box_offset=k)
-        for cached in (realize, _column, _death_at):
+        for cached in (realize, column, _death_at):
             cached.cache_clear()
         rep = invariants(c)
         misses.append(realize.cache_info().misses)
@@ -297,7 +296,7 @@ def test_report_cost_and_route_sharing(library, monkeypatch):
     kernel = gf2.image_and_kernel
     monkeypatch.setattr(gf2, "image_and_kernel", lambda cols: calls.append(1) or kernel(cols))
     c = library["T(2,9)"]
-    for cached in (realize, _column, _death_at):
+    for cached in (realize, column, _death_at):
         cached.cache_clear()
     invariants(c)
     assert len(calls) == 4
@@ -307,6 +306,27 @@ def test_report_cost_and_route_sharing(library, monkeypatch):
     info = _death_at.cache_info()
     # epsilon's two reads plus the surgery read, all served by the cache
     assert (info.hits, info.misses) == (after_report.hits + 3, 2)
+
+
+def test_validate_and_report_share_one_column(library, monkeypatch):
+    # validate's rank check reads the column the report reads, so a cold
+    # validate then report builds four bases: the column, its dual, the
+    # lhook and the dual hook
+    built = []
+
+    class CountingBasis(gf2.XorBasis):
+        def __init__(self):
+            built.append(1)
+            super().__init__()
+
+    monkeypatch.setattr(gf2, "XorBasis", CountingBasis)
+    c = library["T(2,9)"]
+    for cached in (realize, column, _death_at):
+        cached.cache_clear()
+    assert validate(c).ok
+    invariants(c)
+    assert len(built) == 4
+    assert column.cache_info().misses == 1
 
 
 # -- the full report -------------------------------------------------------------
