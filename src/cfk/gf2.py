@@ -8,17 +8,19 @@ from __future__ import annotations
 
 
 class XorBasis:
-    """Incremental row-reduced basis with combination tracking.
+    """Incremental reduced basis with combination tracking, indexed by pivot.
 
-    Vectors are inserted in order; each is reduced against the current
-    basis using the lowest set bit as pivot, which makes every result
-    deterministic in the insertion order.
+    Each kept vector is stored under its pivot, its highest set bit, as
+    ``(vector, combo)``; ``mask`` is the OR of all pivot bits.  Reducing a
+    vector XORs in only the entries whose pivots are set in it, highest
+    first, until no pivot bit is left.  The remainder, zero at every pivot,
+    is unique, and so is the combo; both are deterministic in the insertion
+    order.
     """
 
     def __init__(self) -> None:
-        self.pivots: list[int] = []  # pivot bit per basis vector
-        self.vectors: list[int] = []
-        self.combos: list[int] = []  # combo mask per basis vector
+        self.by_pivot: dict[int, tuple[int, int]] = {}  # pivot index -> (vector, combo)
+        self.mask = 0  # OR of the pivot bits
         self.inserted = 0
 
     def reduce(self, v: int, combo: int = 0) -> tuple[int, int]:
@@ -27,19 +29,13 @@ class XorBasis:
         A remainder of 0 means v lies in the span, and it then equals the
         XOR of the basis vectors whose masks were folded into the combo.
         """
-        for p, bv, bc in zip(self.pivots, self.vectors, self.combos):
-            if v & p:
-                v ^= bv
-                combo ^= bc
-        return v, combo
-
-    def add(self, v: int, combo: int) -> tuple[int, int]:
-        """Reduce v with the given combo mask and keep it if independent."""
-        v, combo = self.reduce(v, combo)
-        if v:
-            self.pivots.append(v & -v)  # lowest set bit
-            self.vectors.append(v)
-            self.combos.append(combo)
+        by_pivot, mask = self.by_pivot, self.mask
+        hits = v & mask
+        while hits:
+            bv, bc = by_pivot[hits.bit_length() - 1]
+            v ^= bv
+            combo ^= bc
+            hits = v & mask
         return v, combo
 
     def insert(self, v: int) -> tuple[int, int]:
@@ -47,15 +43,20 @@ class XorBasis:
 
         A reduced form of 0 means v was already in the span; the combo
         mask then names a subset of previously inserted vectors (plus v
-        itself) that XORs to zero.
+        itself) that XORs to zero.  Otherwise the reduced form is kept
+        under its top bit.
         """
-        idx = self.inserted
+        v, combo = self.reduce(v, 1 << self.inserted)
         self.inserted += 1
-        return self.add(v, 1 << idx)
+        if v:
+            top = v.bit_length() - 1
+            self.by_pivot[top] = (v, combo)
+            self.mask |= 1 << top
+        return v, combo
 
     @property
     def rank(self) -> int:
-        return len(self.vectors)
+        return len(self.by_pivot)
 
 
 def rank(vectors: list[int]) -> int:
@@ -71,7 +72,8 @@ def image_and_kernel(cols: list[int]) -> tuple[XorBasis, list[int]]:
 
     The basis holds the columns that got pivots, in reduced form.  Each
     kernel element is a mask over column indices whose columns XOR to
-    zero.  Both are deterministic in column order.
+    zero, with its own column as top bit, so no two share a top bit.
+    Both are deterministic in column order.
     """
     basis = XorBasis()
     kernel: list[int] = []

@@ -2,8 +2,8 @@
 
 Realizing a region turns a bifiltered complex into a plain finite chain
 complex over the two-element field.  Chains are int bitsets over the basis
-(see gf2); homology representatives are picked by deterministic pivoting in
-basis order so fixtures stay stable.
+(see gf2); homology representatives are read off the pivots of one
+deterministic reduction in basis order, so fixtures stay stable.
 """
 
 from __future__ import annotations
@@ -93,15 +93,18 @@ class HomologyResult:
 def homology(x: F2Complex) -> HomologyResult:
     """Kernel-mod-image over the two-element field.
 
-    Representatives are kernel vectors that stay independent from the
-    boundary image, chosen greedily in the deterministic kernel order by
-    extending the basis that split the columns into image and kernel.
+    Representatives are the kernel vectors whose top index is no pivot of
+    the boundary image; pivots are highest bits.  A kernel vector is
+    homologous to a combination of earlier ones exactly when some boundary
+    has its top index, so these are the vectors that the greedy choice
+    keeps when it extends the image basis with each kernel vector in order,
+    read off the one reduction that split the columns.
     Not cached: every cache in cfk is keyed on the knot complex plus small
     values.  realize is keyed on (complex, region), column on the complex,
     and the invariants' death reader on (complex, shape, levels).
     """
     basis, kernel = gf2.image_and_kernel(list(x.boundary))
-    reps = [z for z in kernel if basis.add(z, 0)[0]]
+    reps = [z for z in kernel if z.bit_length() - 1 not in basis.by_pivot]
     return HomologyResult(len(reps), tuple(reps))
 
 

@@ -30,7 +30,7 @@ from .complexes import (
     tensor,
     validate,
 )
-from .homology import homology, realize
+from .homology import column, homology, realize
 from .invariants import (
     a1_algebraic,
     a1_surgery,
@@ -97,9 +97,10 @@ def prop_mirror_involution(ctx: SuiteContext) -> tuple[int, list[str]]:
 
 
 def prop_slice_dim_one(ctx: SuiteContext) -> tuple[int, list[str]]:
+    # reads the cached column reduction that validate's rank check made
     failures = []
     for c in ctx.pool:
-        dim = homology(realize(c, Region("vertical", 0))).dimension
+        dim = column(c)[1].dimension
         if dim != 1:
             failures.append(_offender(c, f"column homology dimension {dim}"))
     return len(ctx.pool), failures

@@ -1,9 +1,13 @@
-"""Independent oracles: exhaustive enumeration, sympy algebra and cutoff walks.
+"""Independent oracles: exhaustive enumeration, sympy algebra, a linear-scan
+elimination and cutoff walks.
 
-The enumeration and sympy oracles avoid the package's elimination code
-paths, so the fast implementations are checked against something that
-cannot share their bugs.  Enumeration is exponential, so callers keep
-dimensions small.  The cutoff walks do share the elimination: they are
+The enumeration, sympy and linear-scan oracles avoid the package's
+elimination code paths, so the fast implementations are checked against
+something that cannot share their bugs.  Enumeration is exponential, so
+callers keep dimensions small.  The linear scan is the elimination the
+package used before its pivot-indexed kernel: lowest-bit pivots, every
+basis vector visited in turn, and representatives picked by a second
+reduction.  The cutoff walks do share the elimination: they are
 independent in search strategy instead, realizing one clipped region or
 filtration piece per level and asking whether a map between plain
 complexes is zero on homology, where the package reads every cutoff, and
@@ -111,6 +115,48 @@ def _exponents_of(poly, shift: int) -> tuple[int, ...]:
             assert c in (1, -1), f"coefficient {c} breaks the alternating form"
             out.append(deg - k + shift)
     return tuple(out)
+
+
+# -- linear-scan elimination: every basis vector visited in insertion order -----
+
+
+def scan_reduce(basis: list[tuple[int, int, int]], v: int, combo: int = 0) -> tuple[int, int]:
+    """Reduce v against (pivot, vector, combo) entries, pivots being lowest bits.
+
+    Each entry was reduced against the earlier ones when it was kept, so
+    one pass in insertion order clears every pivot bit of v.
+    """
+    for pivot, bv, bc in basis:
+        if v & pivot:
+            v ^= bv
+            combo ^= bc
+    return v, combo
+
+
+def scan_image_and_kernel(cols: list[int]) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Image basis and kernel combos of a matrix by columns, one scan per column."""
+    basis: list[tuple[int, int, int]] = []
+    kernel: list[int] = []
+    for k, col in enumerate(cols):
+        v, combo = scan_reduce(basis, col, 1 << k)
+        if v:
+            basis.append((v & -v, v, combo))
+        else:
+            kernel.append(combo)
+    return basis, kernel
+
+
+def greedy_representatives(cols: list[int]) -> tuple[int, ...]:
+    """Homology representatives: extend the image basis with each kernel vector
+    in order and keep those that stay independent."""
+    basis, kernel = scan_image_and_kernel(cols)
+    reps = []
+    for z in kernel:
+        v, _ = scan_reduce(basis, z)
+        if v:
+            basis.append((v & -v, v, 0))
+            reps.append(z)
+    return tuple(reps)
 
 
 # -- cutoff walks: one realization and one homology per level ------------------

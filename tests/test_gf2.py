@@ -1,4 +1,12 @@
+import random
+
 from cfk import gf2
+from cfk.builders import random_model
+from cfk.complexes import mirror
+from cfk.homology import F2Complex, column, dual, homology, realize
+from cfk.regions import LatticePoint, Region
+
+from oracles import apply_boundary, greedy_representatives, scan_image_and_kernel, scan_reduce
 
 
 def test_rank_identity():
@@ -28,8 +36,8 @@ def test_kernel_members_map_to_zero():
 def tagged_basis(vectors: list[int]) -> gf2.XorBasis:
     """Basis where vectors[k] carries bit k of the combo."""
     basis = gf2.XorBasis()
-    for k, v in enumerate(vectors):
-        assert basis.add(v, 1 << k)[0]
+    for v in vectors:
+        assert basis.insert(v)[0]
     return basis
 
 
@@ -60,3 +68,71 @@ def test_image_and_kernel_basis_spans_the_columns():
     for c in cols:
         assert basis.reduce(c)[0] == 0
     assert basis.reduce(0b001)[0] != 0
+
+
+# -- the pivot-indexed kernel against the linear scan ---------------------------
+
+
+def random_boundary(rng: random.Random, n: int) -> list[int]:
+    """Columns of P D0 P^-1: D0 sends m random basis points to m others (so
+    D0^2 = 0) and P is a random product of transvections."""
+    order = rng.sample(range(n), n)
+    m = rng.randint(0, n // 2)
+    d0 = [0] * n
+    for src, tgt in zip(order[:m], order[m : 2 * m]):
+        d0[src] = 1 << tgt
+    moves = [tuple(rng.sample(range(n), 2)) for _ in range(3 * n)] if n > 1 else []
+
+    def transvect(v: int, steps) -> int:  # e_j -> e_j + e_i, applied in order
+        for i, j in steps:
+            if v >> j & 1:
+                v ^= 1 << i
+        return v
+
+    back = moves[::-1]
+    return [transvect(apply_boundary(d0, transvect(1 << k, moves)), back) for k in range(n)]
+
+
+def assert_kernel_matches_scan(x: F2Complex, rng: random.Random) -> None:
+    cols = list(x.boundary)
+    basis, kernel = gf2.image_and_kernel(cols)
+    scan_basis, scan_kernel = scan_image_and_kernel(cols)
+    assert kernel == scan_kernel
+    assert basis.rank == len(scan_basis)
+    assert basis.mask == sum(1 << p for p in basis.by_pivot)
+    assert all(v.bit_length() - 1 == p for p, (v, _) in basis.by_pivot.items())
+    in_span = [apply_boundary(cols, rng.getrandbits(len(cols))) for _ in range(8)]
+    anywhere = [rng.getrandbits(len(cols)) for _ in range(8)]
+    for v in in_span + anywhere + kernel:
+        remainder, combo = basis.reduce(v)
+        scan_remainder, scan_combo = scan_reduce(scan_basis, v)
+        assert (remainder == 0) == (scan_remainder == 0)
+        assert not any(remainder >> p & 1 for p in basis.by_pivot)
+        if not remainder:
+            # v has one way to be written in the kept columns, so both pivot
+            # rules give the same combo; outside the span they need not
+            assert combo == scan_combo
+            assert apply_boundary(cols, combo) == v
+    assert homology(x).representatives == greedy_representatives(cols)
+
+
+def test_kernel_matches_linear_scan_on_random_boundaries():
+    rng = random.Random(9)
+    for _ in range(300):
+        n = rng.randint(1, 24)
+        points = tuple(LatticePoint(f"x{k}", 0, 0) for k in range(n))
+        x = F2Complex(points, tuple(random_boundary(rng, n)))
+        x.check()  # d^2 = 0
+        assert_kernel_matches_scan(x, rng)
+        assert_kernel_matches_scan(dual(x), rng)
+
+
+def test_kernel_matches_linear_scan_on_regions():
+    rng = random.Random(9)
+    regions = [Region("vertical", 0), Region("hook", 0), Region("hook", 1), Region("lhook", -1)]
+    for seed in range(40):
+        base = random_model(seed)
+        for c in (base, mirror(base)):
+            for x in [realize(c, r) for r in regions] + [column(c)[0]]:
+                assert_kernel_matches_scan(x, rng)
+                assert_kernel_matches_scan(dual(x), rng)

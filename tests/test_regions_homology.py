@@ -24,6 +24,13 @@ from oracles import (
 )
 
 
+def test_homology_module_is_not_shadowed():
+    # the package exports no name that hides its cfk.homology submodule
+    import cfk.homology as h
+
+    assert h.realize is realize
+
+
 def test_trefoil_column(trefoil):
     x = realize(trefoil, Region("vertical", 0))
     assert x.points == (

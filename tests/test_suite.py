@@ -1,6 +1,7 @@
 import pytest
 
-from cfk.suite import PROPERTIES, SuiteContext, run_suite
+from cfk import gf2
+from cfk.suite import PROPERTIES, SuiteContext, prop_slice_dim_one, prop_validate, run_suite
 
 
 @pytest.fixture(scope="module")
@@ -28,3 +29,15 @@ def test_suite_deterministic():
     run_suite(seed_count=8, emit=first.append)
     run_suite(seed_count=8, emit=second.append)
     assert first == second
+
+
+def test_column_dim_one_reads_the_validated_column(monkeypatch):
+    # validate's rank check already reduced every pool column, so the
+    # column-dim-one property eliminates nothing of its own
+    ctx = SuiteContext(5)
+    assert prop_validate(ctx)[1] == []
+    calls = []
+    kernel = gf2.image_and_kernel
+    monkeypatch.setattr(gf2, "image_and_kernel", lambda cols: calls.append(1) or kernel(cols))
+    assert prop_slice_dim_one(ctx) == (len(ctx.pool), [])
+    assert calls == []
