@@ -1,15 +1,18 @@
-"""Region realizations, mod-2 homology and chain maps.
+"""Region realizations, level sorting and mod-2 homology.
 
 Realizing a region turns a bifiltered complex into a plain finite chain
-complex over the two-element field.  Chains are int bitsets over the basis
-(see gf2); homology representatives are read off the pivots of one
-deterministic reduction in basis order, so fixtures stay stable.
+complex over the two-element field, checked once for d^2 = 0.  Sorting it
+by a level checks that no boundary raises the level.  Chains are int
+bitsets over the basis (see gf2); homology representatives are read off
+the pivots of one deterministic reduction in basis order, so fixtures stay
+stable.  There are no chain maps here: the maps between regions that the
+invariants need send each lattice point to itself, and the death reader
+in invariants applies them as plain column lists.
 """
 
 from __future__ import annotations
 
-from collections.abc import Container
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import gf2
@@ -22,8 +25,8 @@ class F2Complex:
     """Chain complex over the two-element field with a fixed ordered basis.
 
     ``boundary`` holds one column bitmask per basis point.  ``filtration``
-    optionally assigns an integer level to each basis point; the boundary
-    of a point may never raise the level.
+    optionally assigns an integer level to each basis point; only
+    sorted_by_level sets it, after checking that no boundary raises it.
     """
 
     points: tuple[LatticePoint, ...]
@@ -34,23 +37,12 @@ class F2Complex:
     def dim(self) -> int:
         return len(self.points)
 
-    def point_index(self) -> dict[LatticePoint, int]:
-        return {p: k for k, p in enumerate(self.points)}
-
     def check(self) -> None:
+        """Raise RegionError unless the boundary squares to zero."""
         cols = list(self.boundary)
         for j in range(self.dim):
             if gf2.apply_columns(cols, cols[j]) != 0:
                 raise RegionError(f"boundary^2 != 0 at basis point {self.points[j]}")
-        if self.filtration is not None:
-            for j, col in enumerate(cols):
-                level = self.filtration[j]
-                v = col
-                while v:
-                    low = v & -v
-                    if self.filtration[low.bit_length() - 1] > level:
-                        raise RegionError("boundary raises the filtration level")
-                    v ^= low
 
 
 @lru_cache(maxsize=4096)
@@ -108,61 +100,13 @@ def homology(x: F2Complex) -> HomologyResult:
     return HomologyResult(len(reps), tuple(reps))
 
 
-@dataclass(frozen=True)
-class ChainMap:
-    """Matrix over the two-element field commuting with the boundaries."""
-
-    source: F2Complex
-    target: F2Complex
-    columns: tuple[int, ...]  # image bitmask over the target basis, per source point
-
-    def apply(self, chain: int) -> int:
-        return gf2.apply_columns(list(self.columns), chain)
-
-    def check(self) -> None:
-        src_cols = list(self.source.boundary)
-        tgt_cols = list(self.target.boundary)
-        cols = list(self.columns)
-        for k in range(self.source.dim):
-            via_source = gf2.apply_columns(cols, src_cols[k])
-            via_target = gf2.apply_columns(tgt_cols, cols[k])
-            if via_source != via_target:
-                raise RegionError(
-                    f"map does not commute with boundaries at {self.source.points[k]}"
-                )
-
-
-def chain_map_by_points(
-    source: F2Complex, target: F2Complex, survivors: Container[int]
-) -> ChainMap:
-    """Map sending each surviving basis point to the same lattice point, rest to 0."""
-    tgt_index = target.point_index()
-    cols = []
-    for k, p in enumerate(source.points):
-        if k in survivors:
-            t = tgt_index.get(p)
-            if t is None:
-                raise RegionError(f"surviving point {p} is missing from the target")
-            cols.append(1 << t)
-        else:
-            cols.append(0)
-    out = ChainMap(source, target, tuple(cols))
-    out.check()
-    return out
-
-
-def with_filtration(x: F2Complex, levels: tuple[int, ...]) -> F2Complex:
-    out = replace(x, filtration=levels)
-    out.check()
-    return out
-
-
 def sorted_by_level(x: F2Complex, levels: tuple[int, ...]) -> F2Complex:
     """x with its basis re-indexed in ascending level (ties in basis order).
 
-    The result carries the sorted levels and is checked like
-    ``with_filtration``, so each sublevel set is a subcomplex and a prefix
-    of the basis: one column reduction then answers every cutoff at once.
+    The result carries the sorted levels.  It raises RegionError when a
+    boundary raises the level, so each sublevel set is a subcomplex and a
+    prefix of the basis: one column reduction then answers every cutoff at
+    once.  d^2 = 0 is not re-checked; a permutation keeps it.
     """
     order = sorted(range(x.dim), key=levels.__getitem__)
     new_index = [0] * x.dim
@@ -173,11 +117,14 @@ def sorted_by_level(x: F2Complex, levels: tuple[int, ...]) -> F2Complex:
         col, v = 0, x.boundary[old]
         while v:
             low = v & -v
-            col |= 1 << new_index[low.bit_length() - 1]
+            t = low.bit_length() - 1
+            if levels[t] > levels[old]:
+                raise RegionError("boundary raises the filtration level")
+            col |= 1 << new_index[t]
             v ^= low
         cols.append(col)
     points = tuple(x.points[k] for k in order)
-    return with_filtration(F2Complex(points, tuple(cols)), tuple(levels[k] for k in order))
+    return F2Complex(points, tuple(cols), tuple(levels[k] for k in order))
 
 
 @lru_cache(maxsize=4096)

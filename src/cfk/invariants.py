@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 from . import gf2
 from .complexes import CfkComplex, CfkError, ParameterError
-from .homology import chain_map_by_points, column, dual, homology, realize, sorted_by_level
+from .homology import column, dual, homology, realize, sorted_by_level
 from .regions import Region
 
 
@@ -82,33 +82,39 @@ def _death_at(complex: CfkComplex, shape: str, levels: tuple[int, ...]) -> _Deat
 
     The region's points carry the given levels, and the answer is the least
     level s, at least 0, at which the map dies on homology.  On the lhook,
-    f: column -> {level <= s} sends each column point inside the region to
-    the same lattice point.  One reduction of the lhook's boundary in
+    f: column -> {level <= s} sends each column point inside the region,
+    that is each one the realized target holds, to the same lattice point
+    and the rest to 0.  One reduction of the lhook's boundary in
     ascending level gives basis vectors whose combos have their own column
     as top bit, so the top bit of the combo that writes f(z) as a boundary
     is the last column needed; the level is None when some f(z) is not a
     boundary at all.  On the hook, g: hook -> column dies at a quotient,
     read off its dual: the same-point map from the dual column into the dual
     hook in descending level, which dies on cohomology exactly when g dies
-    on homology.  The same reduction gives the target's homology dimension,
-    kernel size minus rank.  Both a1 routes read through here, and share an
-    entry whenever their levels agree.
+    on homology (dual keeps the points, so f is built the same way).  The
+    same reduction gives the target's homology dimension, kernel size minus
+    rank.  Both a1 routes read through here, and share an entry whenever
+    their levels agree.
+
+    f is a plain column list, not a checked chain map: a same-point map
+    between regions commutes with the boundaries by the region theory, and
+    realize has checked d^2 = 0 on both ends.  The test oracles build the
+    same maps with their own commutation check.
     """
     source, h = column(complex)
-    region = Region(shape, tau(complex))
-    target = realize(complex, region)
-    survivors = {k for k, p in enumerate(source.points) if region.contains(p.i, p.j)}
+    target = realize(complex, Region(shape, tau(complex)))
     reps = h.representatives
     if shape == "hook":
         source, target, levels = dual(source), dual(target), tuple(-s for s in levels)
         reps = homology(source).representatives
     target = sorted_by_level(target, levels)
-    f = chain_map_by_points(source, target, survivors)
+    where = {p: k for k, p in enumerate(target.points)}
+    f = [1 << where[p] if p in where else 0 for p in source.points]
     basis, kernel = gf2.image_and_kernel(list(target.boundary))
     dim = len(kernel) - basis.rank
     last = -1
     for z in reps:
-        remainder, combo = basis.reduce(f.apply(z))
+        remainder, combo = basis.reduce(gf2.apply_columns(f, z))
         if remainder:
             return _Death(None, dim)
         last = max(last, combo.bit_length() - 1)
@@ -245,7 +251,12 @@ class InvariantReport:
 
 
 def invariants(complex: CfkComplex, n: int | None = None) -> InvariantReport:
-    """Full report; raises InvariantViolation when the two a1 routes disagree."""
+    """Full report; raises InvariantViolation when the two a1 routes disagree.
+
+    Like tau, epsilon, a1_algebraic and a1_surgery, it assumes a complex
+    that passed validate, as the CLI ensures.  An invalid complex may raise
+    or may get a report that means nothing.
+    """
     g = complex.genus_bound
     if n is None:
         n = 2 * g + 1

@@ -19,7 +19,7 @@ from .complexes import CfkError
 
 
 class RegionError(CfkError):
-    """Region misuse: unknown shape, point outside, or broken subquotient."""
+    """Region misuse: unknown shape, or a broken subquotient or level order."""
 
 
 class LatticePoint(NamedTuple):
@@ -70,9 +70,6 @@ class Region:
             i, j = max(0, level - alexander), max(alexander, level)
             kept = clip is None or i <= clip
         return (i, j) if kept else None
-
-    def contains(self, i: int, j: int) -> bool:
-        return self.point(j - i) == (i, j)
 
     def describe(self) -> str:
         equation, clipped = _SHAPES[self.shape]

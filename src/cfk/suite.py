@@ -8,7 +8,6 @@ seed count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import gf2
@@ -43,17 +42,6 @@ from .invariants import (
 from .regions import Region
 
 
-@dataclass
-class PropertyResult:
-    name: str
-    cases: int
-    failures: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def _offender(c: CfkComplex, what: str) -> str:
     return f"{what} [{c.name}]\n{serialize(c)}"
 
@@ -62,7 +50,12 @@ class SuiteContext:
     def __init__(self, seed_count: int, extra_files: Iterable[str] = ()):
         self.library = build_library()
         self.randoms = [random_model(seed) for seed in range(seed_count)]
-        self.extras = [load_file(path) for path in extra_files]
+        extras = [load_file(path) for path in extra_files]
+        valid = [validate(c).ok for c in extras]
+        self.extras = [c for c, ok in zip(extras, valid) if ok]
+        # the invariants assume a valid complex, so extras that fail
+        # validate reach the validate property only
+        self.invalid = [c for c, ok in zip(extras, valid) if not ok]
         self.pool = list(self.library.values()) + self.randoms + self.extras
         # smaller pools for the properties whose cost is quadratic in size
         self.small_pool = list(self.library.values()) + self.randoms[:10] + self.extras
@@ -71,12 +64,13 @@ class SuiteContext:
 
 def prop_validate(ctx: SuiteContext) -> tuple[int, list[str]]:
     failures = []
-    for c in ctx.pool:
+    pool = ctx.pool + ctx.invalid
+    for c in pool:
         rep = validate(c)
         if not rep.ok:
             failed = [k for k, ok in rep.checks.items() if not ok]
             failures.append(_offender(c, f"validation failed: {', '.join(failed)}"))
-    return len(ctx.pool), failures
+    return len(pool), failures
 
 
 def prop_round_trip(ctx: SuiteContext) -> tuple[int, list[str]]:

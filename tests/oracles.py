@@ -11,34 +11,34 @@ reduction.  The cutoff walks do share the elimination: they are
 independent in search strategy instead, realizing one clipped region or
 filtration piece per level and asking whether a map between plain
 complexes is zero on homology, where the package reads every cutoff, and
-epsilon, off one filtered reduction.  The surgery walk takes its step
-levels from the closed forms below, not from the package's cable formula.
+epsilon, off one filtered reduction.  The walks own their chain maps and
+filtrations: each map is checked to commute with the boundaries, each
+filtration to never be raised by a boundary, and region membership comes
+from the defining predicates, so no map or level code is shared with the
+package.  The surgery walk takes its step levels from the closed forms
+below, not from the package's cable formula.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import sympy
 
 from cfk.gf2 import XorBasis, image_and_kernel
-from cfk.homology import (
-    ChainMap,
-    F2Complex,
-    chain_map_by_points,
-    homology,
-    realize,
-    with_filtration,
-)
+from cfk.homology import F2Complex, homology, realize
 from cfk.invariants import InvariantViolation, SearchExhausted
 from cfk.regions import Region, RegionError
 
 
 def apply_boundary(cols: tuple[int, ...], chain: int) -> int:
+    """Image of a chain under the matrix with the given columns, bit by bit."""
     out = 0
-    for k, col in enumerate(cols):
-        if (chain >> k) & 1:
-            out ^= col
+    while chain:
+        low = chain & -chain
+        out ^= cols[low.bit_length() - 1]
+        chain ^= low
     return out
 
 
@@ -172,6 +172,50 @@ def _representatives(x: F2Complex) -> tuple[int, ...]:
     return homology(x).representatives
 
 
+class ChainMap(NamedTuple):
+    """Matrix over the two-element field, one target bitmask per source point."""
+
+    source: F2Complex
+    target: F2Complex
+    columns: tuple[int, ...]
+
+    def apply(self, chain: int) -> int:
+        return apply_boundary(self.columns, chain)
+
+
+def chain_map_by_points(source: F2Complex, target: F2Complex, survivors) -> ChainMap:
+    """Map sending each surviving basis point to the same lattice point, rest to 0.
+
+    Raises RegionError when a survivor is missing from the target or the map
+    does not commute with the boundaries.
+    """
+    where = {p: k for k, p in enumerate(target.points)}
+    cols = []
+    for k, p in enumerate(source.points):
+        if k not in survivors:
+            cols.append(0)
+        elif p in where:
+            cols.append(1 << where[p])
+        else:
+            raise RegionError(f"surviving point {p} is missing from the target")
+    cols = tuple(cols)
+    for k, col in enumerate(cols):
+        if apply_boundary(cols, source.boundary[k]) != apply_boundary(target.boundary, col):
+            raise RegionError(f"map does not commute with boundaries at {source.points[k]}")
+    return ChainMap(source, target, cols)
+
+
+def with_filtration(x: F2Complex, levels: tuple[int, ...]) -> F2Complex:
+    """x carrying the given levels; raises RegionError if a boundary raises one."""
+    for k, col in enumerate(x.boundary):
+        while col:
+            low = col & -col
+            if levels[low.bit_length() - 1] > levels[k]:
+                raise RegionError("boundary raises the filtration level")
+            col ^= low
+    return F2Complex(x.points, x.boundary, tuple(levels))
+
+
 def is_trivial(f: ChainMap) -> bool:
     """Zero induced map: every source representative maps to a target boundary."""
     boundaries = _boundary_span(f.target)
@@ -182,7 +226,10 @@ def quotient_then_include(complex, source_region: Region, target_region: Region)
     """Quotient the source region by its points outside the target, then include."""
     source = realize(complex, source_region)
     target = realize(complex, target_region)
-    survivors = {k for k, p in enumerate(source.points) if target_region.contains(p.i, p.j)}
+    shape, level, clip = target_region.shape, target_region.level, target_region.clip
+    survivors = {
+        k for k, p in enumerate(source.points) if region_reference(shape, level, clip, p.i, p.j)
+    }
     return chain_map_by_points(source, target, survivors)
 
 

@@ -225,6 +225,8 @@ def test_suite_unreadable_extra_file(capsys, tmp_path):
 
 
 def test_suite_corrupt_fixture_names_d_squared(capsys, tmp_path):
+    # invalid extras are reported by validate and kept out of every other
+    # property, so the run completes; a valid extra still counts everywhere
     bad = tmp_path / "corrupt.json"
     bad.write_text(
         '{"name": "corrupt", "generators": [{"id": "a", "alexander": 2},'
@@ -232,7 +234,19 @@ def test_suite_corrupt_fixture_names_d_squared(capsys, tmp_path):
         ' "differential": [{"from": "a", "to": "b", "upower": 0},'
         ' {"from": "b", "to": "c", "upower": 0}]}'
     )
-    code, out, _ = run(capsys, "suite", "--seeds", "2", str(bad))
+    rising = tmp_path / "rising.json"
+    rising.write_text(
+        '{"name": "rising", "generators": [{"id": "a", "alexander": 0},'
+        ' {"id": "b", "alexander": 1}], "differential": [{"from": "a", "to": "b", "upower": 0}]}'
+    )
+    good = tmp_path / "good.json"
+    good.write_text(serialize(build_library()["T(2,3)"]))
+    code, out, err = run(capsys, "suite", "--seeds", "2", str(bad), str(rising), str(good))
     assert code == 1
-    assert "FAIL validate" in out
-    assert "d-squared" in out
+    lines = out.splitlines()
+    assert lines[0] == "FAIL validate (2 of 14 cases)"
+    assert "d-squared" in out and "alexander-rule" in out
+    assert "ok   round-trip (12 cases)" in lines
+    assert "ok   box-neutrality (9 cases)" in lines
+    assert lines[-1] == "suite FAIL"
+    assert "error:" not in out + err and "Traceback" not in err

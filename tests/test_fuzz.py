@@ -1,0 +1,123 @@
+"""Mutated library JSON through the CLI: every run ends in exit 0, 1 or 2.
+
+A mutation shifts or overwrites a grading or U power (with integers or
+values of the wrong type), drops or duplicates a generator or an entry,
+removes a field, adds an entry between two generators, or replaces a whole
+list.  Each mutated file goes through validate, invariants, a1, realize and
+filtration; anything but a clean exit (a traceback, a bare exception) fails.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from cfk.builders import build_library
+from cfk.cli import main
+from cfk.complexes import serialize
+
+LIBRARY = [json.loads(serialize(c)) for c in build_library().values()]
+
+KEYS = ("id", "alexander", "maslov", "from", "to", "upower")
+
+WRONG_TYPES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.just({}),
+)
+
+VALUES = st.one_of(st.integers(-4, 4), st.integers(-(10**12), 10**12), WRONG_TYPES)
+
+MUTATIONS = st.tuples(
+    st.sampled_from(["shift", "set", "unset", "drop", "copy", "link", "replace"]),
+    st.sampled_from(["generators", "differential"]),
+    st.integers(0, 12),  # item index, taken modulo the list length
+    st.sampled_from(KEYS),
+    VALUES,
+)
+
+COMMANDS = st.lists(
+    st.sampled_from([
+        ["validate"],
+        ["invariants", "--format", "json"],
+        ["a1", "--method", "both"],
+        ["realize", "--region", "hook:0"],
+        ["realize", "--region", "lhookclip:1,0"],
+        ["filtration", "--m", "0", "--n", "1"],
+    ]),
+    min_size=1,
+    max_size=3,
+    unique_by=tuple,
+)
+
+
+def _gen_id(data: dict, n: int):
+    gens = data["generators"]
+    if isinstance(gens, list) and gens and isinstance(gens[n % len(gens)], dict):
+        return gens[n % len(gens)].get("id")
+    return None
+
+
+def mutate(data: dict, kind: str, part: str, k: int, key: str, value) -> None:
+    if kind == "replace":
+        data[part] = value
+        return
+    if kind == "link":  # a new entry between the k-th and another generator
+        other = value if isinstance(value, int) else 0
+        if isinstance(data["differential"], list):
+            data["differential"].append(
+                {"from": _gen_id(data, k), "to": _gen_id(data, other), "upower": abs(other) % 3}
+            )
+        return
+    items = data[part]
+    if not isinstance(items, list) or not items:
+        return
+    item = items[k % len(items)]
+    if kind == "drop":
+        del items[k % len(items)]
+    elif kind == "copy":
+        items.append(copy.deepcopy(item))
+    elif not isinstance(item, dict):
+        return
+    elif kind == "shift":
+        if isinstance(item.get(key), int) and isinstance(value, int):
+            item[key] += value
+    elif kind == "set":
+        item[key] = value
+    else:  # unset
+        item.pop(key, None)
+
+
+def run(argv: list[str]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    base=st.sampled_from(range(len(LIBRARY))),
+    mutations=st.lists(MUTATIONS, min_size=1, max_size=4),
+    commands=COMMANDS,
+)
+def test_mutated_json_exits_cleanly(base, mutations, commands):
+    data = copy.deepcopy(LIBRARY[base])
+    for m in mutations:
+        mutate(data, *m)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutant.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        for argv in commands:
+            code = run(argv + ["--file", path])
+            assert code in (0, 1, 2), (argv, data)

@@ -2,10 +2,10 @@
 
 import pytest
 
-from cfk.homology import realize, with_filtration
+from cfk.homology import realize
 from cfk.regions import Region, RegionError
 
-from oracles import filtration_quotient, filtration_subcomplex
+from oracles import filtration_quotient, filtration_subcomplex, with_filtration
 
 
 def test_filtration_pieces(trefoil):
