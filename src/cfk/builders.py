@@ -47,9 +47,6 @@ class AlexanderExponents:
         if len(e) % 2 == 0:
             raise ParameterError(f"need an odd number of exponents, got {len(e)}")
 
-    def __len__(self) -> int:
-        return len(self.exponents)
-
 
 def staircase(exponents: AlexanderExponents, name: str | None = None) -> CfkComplex:
     """Staircase complex of the L-space knot with the given exponents.

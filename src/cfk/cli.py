@@ -132,18 +132,15 @@ def cmd_filtration(args) -> int:
     rows = []
     for p in hook.points:
         level = meridian_filtration(p.i, p.j, args.m, args.n)
-        rows.append((p.gen, p.i, p.j, level.first, level.second, level.second))
+        rows.append((p.gen, p.i, p.j, level.first, level.second))
     if args.format == "json":
         print(json.dumps(
-            [
-                {"gen": g, "i": i, "j": j, "first": a, "second": b, "step": s}
-                for g, i, j, a, b, s in rows
-            ],
+            [{"gen": g, "i": i, "j": j, "first": a, "second": b} for g, i, j, a, b in rows],
             ensure_ascii=False, indent=2,
         ))
     else:
-        header = ("gen", "i", "j", "first", "second", "step")
-        widths = [max(len(str(r[k])) for r in rows + [header]) for k in range(6)]
+        header = ("gen", "i", "j", "first", "second")
+        widths = [max(len(str(r[k])) for r in rows + [header]) for k in range(5)]
         for r in [header] + rows:
             print("  ".join(str(v).rjust(w) for v, w in zip(r, widths)))
     return 0

@@ -19,11 +19,12 @@ class CfkError(Exception):
 
 
 class ParseError(CfkError):
-    """Malformed complex text: syntax or structural problems."""
+    """A malformed complex: bad JSON syntax or types in its text (parse), or a
+    broken structural rule (raised by the CfkComplex constructor)."""
 
 
 class ValidationError(CfkError):
-    """A structurally well-formed complex violating an algebraic axiom."""
+    """A well-formed complex violating an algebraic axiom (see validate)."""
 
 
 class ParameterError(CfkError, ValueError):
@@ -48,14 +49,19 @@ class DiffEntry:
 
 @dataclass(frozen=True)
 class CfkComplex:
-    """Immutable complex; generators and entries are kept in canonical order.
+    """Immutable, well-formed complex; generators and entries in canonical order.
 
     Canonical order is (alexander descending, id ascending) for generators
     and (src, dst, upower) for differential entries, matching the on-disk
-    serialization, so structurally equal complexes compare equal.
+    serialization.  Construction enforces the structural rules, so no other
+    code checks them: ids are unique, entries name known generators, U
+    powers are at least 0, no entry occurs twice, and Maslov gradings are
+    given on all generators or on none.  It raises ParseError naming the
+    first offender.  The name is a label: equality and the hash are
+    structural, so the caches keyed on a complex share entries across names.
     """
 
-    name: str
+    name: str = field(compare=False)
     generators: tuple[Generator, ...] = field(default_factory=tuple)
     differential: tuple[DiffEntry, ...] = field(default_factory=tuple)
 
@@ -64,10 +70,30 @@ class CfkComplex:
         entries = tuple(sorted(self.differential, key=lambda e: (e.src, e.dst, e.upower)))
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "differential", entries)
+        ids: set[str] = set()
+        bare = bool(gens) and gens[0].maslov is None
+        for g in gens:
+            if g.id in ids:
+                raise ParseError(f"duplicate generator id {g.id!r}")
+            if (g.maslov is None) != bare:
+                raise ParseError("maslov grading present on some generators but not all")
+            ids.add(g.id)
+        previous = None
+        for e in entries:
+            key = src, dst, upower = e.src, e.dst, e.upower
+            if src not in ids:
+                raise ParseError(f"entry {src}->{dst}: unknown generator {src!r}")
+            if dst not in ids:
+                raise ParseError(f"entry {src}->{dst}: unknown generator {dst!r}")
+            if upower < 0:
+                raise ParseError(f"entry {src}->{dst}: negative upower {upower}")
+            if key == previous:  # sorted, so a repeated entry is adjacent
+                raise ParseError(f"duplicate entry {src}->{dst} U^{upower}")
+            previous = key
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.name, self.generators, self.differential))
+        return hash((self.generators, self.differential))
 
     def __hash__(self) -> int:
         # Complexes key the lru caches, so hash the generator tuples once.
@@ -85,7 +111,7 @@ class CfkComplex:
     def entries_from(self) -> dict[str, tuple[DiffEntry, ...]]:
         out: dict[str, list[DiffEntry]] = {g.id: [] for g in self.generators}
         for e in self.differential:
-            out.setdefault(e.src, []).append(e)
+            out[e.src].append(e)
         return {k: tuple(v) for k, v in out.items()}
 
     def alexander(self, gid: str) -> int:
@@ -93,26 +119,23 @@ class CfkComplex:
 
     @property
     def maslov_present(self) -> bool:
-        return bool(self.generators) and all(g.maslov is not None for g in self.generators)
+        return bool(self.generators) and self.generators[0].maslov is not None
 
     @cached_property
     def genus_bound(self) -> int:
         """max |A(x)|; a valid complex has |tau| <= g + 1 and |a1| <= 2g + 2."""
         return max((abs(g.alexander) for g in self.generators), default=0)
 
-    def structure(self) -> tuple:
-        """Name-independent content, for structural equality in tests."""
-        return (self.generators, self.differential)
-
 
 @dataclass
 class ValidationReport:
-    """Pass/fail per axiom, with entry-level error messages.
+    """Pass/fail per algebraic axiom, with entry-level error messages.
 
-    ``checks`` only contains the checks that actually ran; structural
-    failures suppress the algebraic checks that depend on them, and the
-    vertical-homology-rank check runs only once alexander-rule and
-    d-squared have passed, since the column is realized only then.
+    ``checks`` only contains the checks that actually ran: maslov-rule runs
+    only on a complex with Maslov gradings, and vertical-homology-rank only
+    once alexander-rule and d-squared have passed, since the column is
+    realized only then.  The structural rules are not here: a CfkComplex
+    keeps them from construction on.
     """
 
     checks: dict[str, bool] = field(default_factory=dict)
@@ -133,57 +156,13 @@ class ValidationReport:
 
 
 def validate(complex: CfkComplex) -> ValidationReport:
-    """Check every axiom of the data model and report per-invariant results.
+    """Check the algebraic axioms of a complex and report per-axiom results.
 
-    The Alexander-grading symmetry of the multiset {A(x)} is reported as a
-    warning only: subquotient machinery does not rely on it.
+    The Alexander and Maslov rules, d^2 = 0, and one-dimensional homology of
+    the column.  The Alexander-grading symmetry of the multiset {A(x)} is
+    reported as a warning only: subquotient machinery does not rely on it.
     """
     rep = ValidationReport()
-    gens = complex.generators
-
-    seen: set[str] = set()
-    dup = []
-    for g in gens:
-        if g.id in seen:
-            dup.append(f"duplicate generator id {g.id!r}")
-        seen.add(g.id)
-    rep._record("unique-ids", dup)
-
-    with_m = [g for g in gens if g.maslov is not None]
-    uniform = not with_m or len(with_m) == len(gens)
-    rep._record(
-        "maslov-uniform",
-        [] if uniform else ["maslov grading present on some generators but not all"],
-    )
-
-    ids = {g.id for g in gens}
-    bad_refs = []
-    for e in complex.differential:
-        for gid in (e.src, e.dst):
-            if gid not in ids:
-                bad_refs.append(f"entry {e.src}->{e.dst}: unknown generator {gid!r}")
-    rep._record("entry-references", bad_refs)
-
-    dup_entries = []
-    seen_entries: set[DiffEntry] = set()
-    for e in complex.differential:
-        if e in seen_entries:
-            dup_entries.append(f"duplicate entry {e.src}->{e.dst} U^{e.upower}")
-        seen_entries.add(e)
-    rep._record("no-duplicate-entries", dup_entries)
-
-    rep._record(
-        "upower-nonnegative",
-        [
-            f"entry {e.src}->{e.dst}: negative upower {e.upower}"
-            for e in complex.differential
-            if e.upower < 0
-        ],
-    )
-
-    if not rep.ok:
-        return rep
-
     by_id = complex.by_id
     alex_bad = []
     for e in complex.differential:
@@ -193,7 +172,7 @@ def validate(complex: CfkComplex) -> ValidationReport:
             )
     rep._record("alexander-rule", alex_bad)
 
-    if with_m:
+    if complex.maslov_present:
         maslov_bad = []
         for e in complex.differential:
             want = by_id[e.src].maslov - 1 + 2 * e.upower
@@ -210,7 +189,7 @@ def validate(complex: CfkComplex) -> ValidationReport:
     parity: dict[tuple[str, str, int], int] = {}
     from_map = complex.entries_from
     for e1 in complex.differential:
-        for e2 in from_map.get(e1.dst, ()):
+        for e2 in from_map[e1.dst]:
             key = (e1.src, e2.dst, e1.upower + e2.upower)
             parity[key] = parity.get(key, 0) ^ 1
     rep._record(
@@ -227,7 +206,7 @@ def validate(complex: CfkComplex) -> ValidationReport:
             [] if dim == 1 else [f"vertical homology has dimension {dim}, expected 1"],
         )
 
-    alex = sorted(g.alexander for g in gens)
+    alex = sorted(g.alexander for g in complex.generators)
     if alex != sorted(-a for a in alex):
         rep.warnings.append("alexander gradings are not symmetric under negation")
 
@@ -252,8 +231,9 @@ def mirror(complex: CfkComplex) -> CfkComplex:
 def tensor(a: CfkComplex, b: CfkComplex) -> CfkComplex:
     """Tensor product over the U ring; models the connect sum.
 
-    Generators are pairs with gradings added; the differential follows the
-    Leibniz rule (no signs over the two-element field).
+    Generators are pairs x⊗y with gradings added; the differential follows
+    the Leibniz rule (no signs over the two-element field).  Pairs whose ids
+    collide raise ParseError at construction.
     """
     keep_maslov = a.maslov_present and b.maslov_present
 
@@ -262,8 +242,6 @@ def tensor(a: CfkComplex, b: CfkComplex) -> CfkComplex:
         return Generator(f"{x.id}⊗{y.id}", x.alexander + y.alexander, m)
 
     gens = tuple(pair(x, y) for x in a.generators for y in b.generators)
-    if len({g.id for g in gens}) != len(gens):
-        raise CfkError("tensor would produce colliding generator ids")
     entries = []
     for e in a.differential:
         for y in b.generators:
@@ -279,11 +257,9 @@ def direct_sum(a: CfkComplex, b: CfkComplex) -> CfkComplex:
 
     Exactly one summand may carry the one-dimensional vertical homology;
     the other must be acyclic in the vertical direction, otherwise the sum
-    could not satisfy the rank-one axiom and is refused.
+    could not satisfy the rank-one axiom and is refused.  Summands that share
+    a generator id raise ParseError at construction.
     """
-    overlap = {g.id for g in a.generators} & {g.id for g in b.generators}
-    if overlap:
-        raise CfkError(f"direct sum id collision: {sorted(overlap)}")
     from .homology import column
 
     dims = sorted(column(x)[1].dimension for x in (a, b))
@@ -316,17 +292,13 @@ def serialize(complex: CfkComplex) -> str:
     return json.dumps(to_dict(complex), ensure_ascii=False, indent=2) + "\n"
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ParseError(msg)
-
-
 def parse(text: str) -> CfkComplex:
     """Read a complex from its text form.
 
-    Raises ParseError for syntax and structural problems (bad types,
-    duplicate ids, entries naming unknown generators).  Algebraic axioms
-    are checked separately by validate().
+    Raises ParseError for bad JSON syntax and for fields of the wrong type;
+    the constructor then raises it for broken structure (duplicate ids,
+    entries naming unknown generators, ...).  Algebraic axioms are checked
+    separately by validate().
     """
     try:
         data = json.loads(text)
@@ -337,44 +309,44 @@ def parse(text: str) -> CfkComplex:
     except ValueError as e:  # an integer past the interpreter's digit limit
         raise ParseError(f"number out of range: {e}") from None
 
-    _require(isinstance(data, dict), "top level must be an object")
+    # type(x) is int, not isinstance: JSON true and false are bools, a
+    # subclass of int.  Each message is built only when its check fails.
+    if type(data) is not dict:
+        raise ParseError("top level must be an object")
     for key in ("name", "generators", "differential"):
-        _require(key in data, f"missing field {key!r}")
-    _require(isinstance(data["name"], str), "field 'name' must be a string")
-    _require(isinstance(data["generators"], list), "field 'generators' must be a list")
-    _require(isinstance(data["differential"], list), "field 'differential' must be a list")
+        if key not in data:
+            raise ParseError(f"missing field {key!r}")
+    if type(data["name"]) is not str:
+        raise ParseError("field 'name' must be a string")
+    for key in ("generators", "differential"):
+        if type(data[key]) is not list:
+            raise ParseError(f"field {key!r} must be a list")
 
     gens = []
-    seen: set[str] = set()
     for k, raw in enumerate(data["generators"]):
-        where = f"generator {k}"
-        _require(isinstance(raw, dict), f"{where}: must be an object")
-        _require(isinstance(raw.get("id"), str), f"{where}: field 'id' must be a string")
-        _require(
-            isinstance(raw.get("alexander"), int) and not isinstance(raw["alexander"], bool),
-            f"{where}: field 'alexander' must be an integer",
-        )
-        m = raw.get("maslov")
-        _require(
-            m is None or (isinstance(m, int) and not isinstance(m, bool)),
-            f"{where}: field 'maslov' must be an integer",
-        )
-        _require(raw["id"] not in seen, f"duplicate generator id {raw['id']!r}")
-        seen.add(raw["id"])
-        gens.append(Generator(raw["id"], raw["alexander"], m))
+        if type(raw) is not dict:
+            raise ParseError(f"generator {k}: must be an object")
+        gid, alexander, m = raw.get("id"), raw.get("alexander"), raw.get("maslov")
+        if type(gid) is not str:
+            raise ParseError(f"generator {k}: field 'id' must be a string")
+        if type(alexander) is not int:
+            raise ParseError(f"generator {k}: field 'alexander' must be an integer")
+        if m is not None and type(m) is not int:
+            raise ParseError(f"generator {k}: field 'maslov' must be an integer")
+        gens.append(Generator(gid, alexander, m))
 
     entries = []
     for k, raw in enumerate(data["differential"]):
-        where = f"differential entry {k}"
-        _require(isinstance(raw, dict), f"{where}: must be an object")
-        for f in ("from", "to"):
-            _require(isinstance(raw.get(f), str), f"{where}: field {f!r} must be a string")
-            _require(raw[f] in seen, f"{where}: unknown generator {raw[f]!r}")
-        _require(
-            isinstance(raw.get("upower"), int) and not isinstance(raw["upower"], bool),
-            f"{where}: field 'upower' must be an integer",
-        )
-        entries.append(DiffEntry(raw["from"], raw["to"], raw["upower"]))
+        if type(raw) is not dict:
+            raise ParseError(f"differential entry {k}: must be an object")
+        src, dst, upower = raw.get("from"), raw.get("to"), raw.get("upower")
+        if type(src) is not str:
+            raise ParseError(f"differential entry {k}: field 'from' must be a string")
+        if type(dst) is not str:
+            raise ParseError(f"differential entry {k}: field 'to' must be a string")
+        if type(upower) is not int:
+            raise ParseError(f"differential entry {k}: field 'upower' must be an integer")
+        entries.append(DiffEntry(src, dst, upower))
 
     return CfkComplex(data["name"], tuple(gens), tuple(entries))
 

@@ -64,7 +64,7 @@ def realize(complex: CfkComplex, region: Region) -> F2Complex:
 
     boundary = [0] * len(points)
     for k, p in enumerate(points):
-        for e in complex.entries_from.get(p.gen, ()):
+        for e in complex.entries_from[p.gen]:
             ti = p.i - e.upower
             tj = ti + complex.alexander(e.dst)
             target = LatticePoint(e.dst, ti, tj)

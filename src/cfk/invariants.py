@@ -179,18 +179,28 @@ def a1_algebraic(complex: CfkComplex) -> int:
 def a1_surgery(complex: CfkComplex, n: int) -> int:
     """a1 read off the meridian-cable step filtration on the surgery models.
 
-    The algebraic route with step levels in place of i.  Negative sign:
-    drop hook levels from the bottom until the map to the column dies on
-    homology; the answer is minus the number of dropped arm levels.
-    Positive sign: grow the lhook from the bottom until the map from the
-    column into it dies; the lhook at t is the mirror image of the hook
-    at -t, so it carries the mirrored step levels.  Requires n above
-    twice the genus bound, the regime where step levels agree with the
-    i-coordinate on occupied points.
+    Requires n above twice the genus bound, the regime where step levels
+    agree with the i-coordinate on occupied points and the surgery route
+    computes a1; _a1_by_steps reads the step levels at any n.
     """
     g = complex.genus_bound
     if n <= 2 * g:
         raise ParameterError(f"need n > {2 * g} (twice the genus bound), got {n}")
+    return _a1_by_steps(complex, n)
+
+
+def _a1_by_steps(complex: CfkComplex, n: int) -> int:
+    """The algebraic route with the n-cable's step levels in place of i.
+
+    Negative sign: drop hook levels from the bottom until the map to the
+    column dies on homology; the answer is minus the number of dropped arm
+    levels.  Positive sign: grow the lhook from the bottom until the map
+    from the column into it dies; the lhook at t is the mirror image of the
+    hook at -t, so it carries the mirrored step levels.  Defined for every
+    n >= 1; below 2g + 1 the step levels saturate on the arm, so the value
+    can differ from a1, and the tests compare it with the oracle's walk.
+    """
+    g = complex.genus_bound
     eps = epsilon(complex)
     if eps == 0:
         return 0

@@ -322,10 +322,11 @@ def filtration_quotient(x: F2Complex, min_level: int) -> F2Complex:
 
 
 def a1_surgery_by_walk(complex, n: int) -> int:
-    """Drop hook levels (negative) or grow lhook levels (positive) until the map dies."""
+    """Drop hook levels (negative) or grow lhook levels (positive) until the map
+    dies, at any cable parameter n >= 1."""
     g = complex.genus_bound
-    if n <= 2 * g:
-        raise ValueError(f"need n > {2 * g} (twice the genus bound), got {n}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     eps = epsilon_by_maps(complex)
     if eps == 0:
         return 0

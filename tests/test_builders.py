@@ -110,7 +110,7 @@ def test_box_tensor_unknot_is_box():
 
 
 def test_thin_model_degenerate_is_staircase(trefoil):
-    assert thin_model(1, 0).structure() == trefoil.structure()
+    assert thin_model(1, 0) == trefoil
 
 
 def test_thin_model_figure_eight():

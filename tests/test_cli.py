@@ -61,8 +61,9 @@ def test_filtration_values(capsys):
         for row in rows:
             level = meridian_filtration(row["i"], row["j"], m, n)
             assert (row["first"], row["second"]) == (level.first, level.second)
-            assert row["step"] == hook_step(row["i"], n)
-    assert any(row["step"] != row["i"] for row in rows)
+            assert row["second"] == hook_step(row["i"], n)
+            assert "step" not in row  # the step level is the second coordinate
+    assert any(row["second"] != row["i"] for row in rows)
 
 
 def test_tensor_emits_complex(capsys):
@@ -75,7 +76,7 @@ def test_tensor_emits_complex(capsys):
 def test_mirror_emits_complex(capsys):
     code, out, _ = run(capsys, "mirror", "--knot", "T(2,3)")
     assert code == 0
-    assert parse(out).structure() == build_library()["-T(2,3)"].structure()
+    assert parse(out) == build_library()["-T(2,3)"]
 
 
 def test_staircase_matches_library(capsys):
@@ -90,7 +91,7 @@ def test_staircase_matches_library(capsys):
 def test_staircase_exponents(capsys):
     code, out, _ = run(capsys, "staircase", "--exponents", "4,3,0,-3,-4")
     assert code == 0
-    assert parse(out).structure() == build_library()["T(2,3;2,5)"].structure()
+    assert parse(out) == build_library()["T(2,3;2,5)"]
 
 
 def test_staircase_flag_conflicts(capsys):

@@ -1,5 +1,7 @@
+import json
 import pickle
 import random
+import re
 import sys
 from dataclasses import replace
 
@@ -19,7 +21,7 @@ from cfk.complexes import (
     tensor,
     validate,
 )
-from cfk.builders import box, unknot
+from cfk.builders import box, conway_model, unknot
 from cfk.cli import main
 from cfk.homology import column
 from cfk.invariants import invariants
@@ -53,21 +55,70 @@ def test_extra_entry_breaks_only_maslov(trefoil):
     assert any("maslov" in e for e in rep.errors)
 
 
-def test_negative_upower_reported():
-    c = CfkComplex(
-        "bad",
-        (Generator("a", 0), Generator("b", 1)),
-        (DiffEntry("b", "a", -1),),
-    )
-    rep = validate(c)
-    assert rep.checks["upower-nonnegative"] is False
+# one complex per structural rule that construction enforces, as file data,
+# with the message that names its first offender
+_MALFORMED = {
+    "unique-ids": (
+        [{"id": "a", "alexander": 0}, {"id": "a", "alexander": 1}],
+        [],
+        "duplicate generator id 'a'",
+    ),
+    "entry-references": (
+        [{"id": "a", "alexander": 0}],
+        [{"from": "a", "to": "z", "upower": 0}],
+        "entry a->z: unknown generator 'z'",
+    ),
+    "upower-nonnegative": (
+        [{"id": "a", "alexander": 0}, {"id": "b", "alexander": 1}],
+        [{"from": "b", "to": "a", "upower": -1}],
+        "entry b->a: negative upower -1",
+    ),
+    "no-duplicate-entries": (
+        [{"id": "a", "alexander": 0}, {"id": "b", "alexander": 1}],
+        [{"from": "b", "to": "a", "upower": 1}] * 2,
+        "duplicate entry b->a U^1",
+    ),
+    "maslov-uniform": (
+        [{"id": "a", "alexander": 0, "maslov": 0}, {"id": "b", "alexander": 1}],
+        [],
+        "maslov grading present on some generators but not all",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_MALFORMED))
+def test_structural_rule_is_kept_from_construction_on(capsys, tmp_path, rule):
+    gens, entries, message = _MALFORMED[rule]
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        CfkComplex(
+            "bad",
+            tuple(Generator(g["id"], g["alexander"], g.get("maslov")) for g in gens),
+            tuple(DiffEntry(e["from"], e["to"], e["upower"]) for e in entries),
+        )
+    text = json.dumps({"name": "bad", "generators": gens, "differential": entries})
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse(text)
+    # the command line stops at the load: an error line, exit 1, no report
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for argv in (["validate", "--file", str(path)], ["suite", "--seeds", "1", str(path)]):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"
+
+
+def test_negative_upower_reported(trefoil):
+    # replace re-runs construction, so no copy can carry a broken entry
+    with pytest.raises(ParseError, match="^entry b1->b2: negative upower -1$"):
+        replace(trefoil, differential=(DiffEntry("b1", "b2", -1), trefoil.differential[0]))
 
 
 def test_unknown_reference_reported():
-    c = CfkComplex("bad", (Generator("a", 0),), (DiffEntry("a", "z", 0),))
-    rep = validate(c)
-    assert rep.checks["entry-references"] is False
-    assert any("'z'" in e for e in rep.errors)
+    # the first offender in canonical order is named, not every one
+    entries = (DiffEntry("b", "y", 0), DiffEntry("a", "z", 0))
+    with pytest.raises(ParseError, match="^entry a->z: unknown generator 'z'$"):
+        CfkComplex("bad", (Generator("a", 0), Generator("b", 0)), entries)
 
 
 def test_vertical_rank_must_be_one():
@@ -156,13 +207,16 @@ def test_maslov_is_optional():
 
 
 def test_mixed_maslov_rejected():
-    c = CfkComplex("mixed", (Generator("a", 0, 0), Generator("b", 1)), ())
-    rep = validate(c)
-    assert rep.checks["maslov-uniform"] is False
+    # Maslov gradings on all generators or on none, in either order
+    CfkComplex("none", (Generator("a", 0), Generator("b", 1)), ())
+    CfkComplex("all", (Generator("a", 0, 0), Generator("b", 1, 1)), ())
+    for first, second in ((0, None), (None, 0)):
+        with pytest.raises(ParseError, match="maslov grading present on some"):
+            CfkComplex("mixed", (Generator("a", 0, first), Generator("b", 1, second)), ())
 
 
 def test_mirror_unknot_is_unknot(the_unknot):
-    assert mirror(the_unknot).structure() == the_unknot.structure()
+    assert mirror(the_unknot) == the_unknot
 
 
 def test_mirror_involution(trefoil, cable_t23_25):
@@ -192,7 +246,7 @@ def test_tensor_unit(trefoil, the_unknot):
             for e in t.differential
         ),
     )
-    assert renamed.structure() == trefoil.structure()
+    assert renamed == trefoil
 
 
 def test_tensor_counts(trefoil):
@@ -206,7 +260,7 @@ def test_tensor_vertical_dim_multiplies(trefoil):
     assert column(tensor(trefoil, trefoil))[1].dimension == 1
     # box tensor anything stays acyclic in the vertical direction
     assert column(tensor(b, trefoil))[1].dimension == 0
-    assert tensor(b, b).structure() != b.structure()  # 16 generators
+    assert tensor(b, b) != b  # 16 generators
     assert column(tensor(b, unknot()))[1].dimension == 0
 
 
@@ -232,9 +286,18 @@ def test_direct_sum_rejects_two_staircases(trefoil, t29):
         direct_sum(trefoil, relabeled)
 
 
-def test_direct_sum_rejects_id_collision(trefoil):
-    with pytest.raises(CfkError):
-        direct_sum(trefoil, trefoil)
+def test_direct_sum_rejects_id_collision():
+    # the summands pass the homology check; construction refuses the sum
+    with pytest.raises(ParseError, match=r"^duplicate generator id 'q0\.tl'$"):
+        direct_sum(conway_model(), box(prefix="q0."))
+
+
+def test_tensor_rejects_id_collision():
+    # (p, q⊗r) and (p⊗q, r) both pair to p⊗q⊗r
+    a = CfkComplex("a", (Generator("p", 0), Generator("p⊗q", 0)), ())
+    b = CfkComplex("b", (Generator("r", 0), Generator("q⊗r", 0)), ())
+    with pytest.raises(ParseError, match="^duplicate generator id 'p⊗q⊗r'$"):
+        tensor(a, b)
 
 
 def test_round_trip_is_canonical(trefoil, t45, cable_t23_25):
@@ -343,7 +406,7 @@ def test_genus_bound_is_cached_per_value(t45):
     c = parse(serialize(t45))
     assert "genus_bound" not in vars(c)
     assert c.genus_bound == 6 and vars(c)["genus_bound"] == 6
-    wider = replace(c, generators=c.generators + (Generator("far", -9),))
+    wider = replace(c, generators=c.generators + (Generator("far", -9, 0),))
     assert "genus_bound" not in vars(wider) and wider.genus_bound == 9
     back = pickle.loads(pickle.dumps(c))
     assert back == c and hash(back) == hash(c) and back.genus_bound == 6
@@ -365,18 +428,29 @@ def test_round_trip_keeps_equality_and_hash(trefoil, t45):
         assert hash(back) == hash(c)
 
 
-def test_name_still_distinguishes_complexes(trefoil):
-    renamed = replace(trefoil, name="other")
-    assert renamed.structure() == trefoil.structure()
-    assert renamed != trefoil
+def test_name_is_a_label_not_part_of_equality(trefoil):
+    renamed = replace(trefoil, name="x")
+    assert renamed == trefoil and hash(renamed) == hash(trefoil)
+    # so the caches keyed on a complex share one entry across names
+    column.cache_clear()
+    assert column(trefoil) is column(renamed)
+    info = column.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # the name still reaches every output that shows it
+    assert json.loads(serialize(renamed))["name"] == "x"
+    assert invariants(renamed).name == "x" and invariants(trefoil).name == "T(2,3)"
 
 
 def test_replace_computes_a_fresh_hash(trefoil):
     hash(trefoil)
     renamed = replace(trefoil, name="other")
     assert "_hash" not in vars(renamed)
-    assert hash(renamed) == hash(("other", trefoil.generators, trefoil.differential))
-    assert hash(renamed) != hash(trefoil)
+    assert hash(renamed) == hash((trefoil.generators, trefoil.differential))
+    assert hash(renamed) == hash(trefoil)
+    cut = replace(renamed, differential=trefoil.differential[:1])
+    assert "_hash" not in vars(cut)
+    assert hash(cut) == hash((trefoil.generators, trefoil.differential[:1]))
+    assert cut != trefoil
 
 
 def test_cached_hash_stays_private(trefoil):
@@ -384,7 +458,7 @@ def test_cached_hash_stays_private(trefoil):
     hash(trefoil)
     assert "_hash" in vars(trefoil) and "_hash" not in vars(fresh)
     assert serialize(trefoil) == serialize(fresh)
-    assert trefoil.structure() == (trefoil.generators, trefoil.differential)
+    assert trefoil == fresh
     assert invariants(trefoil).as_dict() == invariants(fresh).as_dict()
     assert "_hash" not in repr(trefoil)
     assert repr(trefoil) == repr(fresh)

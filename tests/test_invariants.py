@@ -14,6 +14,7 @@ from cfk.complexes import mirror, parse, tensor, validate
 from cfk import gf2
 from cfk.invariants import (
     SearchExhausted,
+    _a1_by_steps,
     _death_at,
     a1_algebraic,
     a1_surgery,
@@ -274,6 +275,26 @@ def test_cutoffs_match_walks():
         assert a1_surgery(c, n) == a1_surgery_by_walk(c, n), c.name
     assert {a1_algebraic(c) for c in pool} >= {-1, 0, 1, 2, 3}
     assert {epsilon(c) for c in pool} == {-1, 0, 1}
+
+
+def test_step_reader_matches_the_walk_at_every_n():
+    # a1_surgery's reader below its n > 2g guard, where the arm's step levels
+    # saturate and the two routes no longer read the same levels; equal
+    # structures under different names are checked once
+    pool = []
+    for c in build_library().values():
+        pool += [c, mirror(c)]
+    for seed in range(40):
+        for size in (1, 2, 3):
+            c = random_model(seed, size)
+            pool += [c, mirror(c)]
+    truncated = 0
+    for c in dict.fromkeys(pool):
+        a1 = a1_algebraic(c)
+        for n in range(1, 2 * c.genus_bound + 1):
+            assert _a1_by_steps(c, n) == a1_surgery_by_walk(c, n), (c.name, n)
+            truncated += abs(a1) > n
+    assert truncated > 0
 
 
 def test_cost_does_not_grow_with_genus():
