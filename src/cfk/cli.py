@@ -108,20 +108,14 @@ def cmd_invariants(args) -> int:
 def cmd_a1(args) -> int:
     (c,) = _resolve_inputs(args, 1)
     _require_valid(c)
-    n = args.n if args.n is not None else 2 * c.genus_bound + 1
     if args.method == "algebraic":
-        print(a1_algebraic(c))
-        return 0
-    if args.method == "surgery":
-        print(a1_surgery(c, n))
-        return 0
-    algebraic = a1_algebraic(c)
-    surgery = a1_surgery(c, n)
-    if algebraic != surgery:
-        raise CfkError(
-            f"a1 methods disagree: algebraic {algebraic}, surgery {surgery} (n={n})"
-        )
-    print(algebraic)
+        a1 = a1_algebraic(c)
+    elif args.method == "surgery":
+        a1 = a1_surgery(c, args.n if args.n is not None else 2 * c.genus_bound + 1)
+    else:
+        # the report compares the two routes
+        a1 = invariants(c, n=args.n).a1
+    print(a1)
     return 0
 
 

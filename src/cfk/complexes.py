@@ -114,9 +114,6 @@ class CfkComplex:
             out[e.src].append(e)
         return {k: tuple(v) for k, v in out.items()}
 
-    def alexander(self, gid: str) -> int:
-        return self.by_id[gid].alexander
-
     @property
     def maslov_present(self) -> bool:
         return bool(self.generators) and self.generators[0].maslov is not None

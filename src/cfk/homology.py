@@ -51,7 +51,9 @@ def realize(complex: CfkComplex, region: Region) -> F2Complex:
 
     A differential entry d(x) = U^k y connects [x, i, j] to [y, i-k, i-k+A(y)];
     the induced boundary keeps exactly the pairs with both endpoints inside
-    the region.  Results are cached; everything involved is immutable.
+    the region.  A region meets each diagonal j - i = A(y) at most once, so
+    the entry stays inside exactly when y's point in it has i = i(x) - k.
+    Results are cached; everything involved is immutable.
     """
     if not isinstance(region, Region):
         raise RegionError(f"unknown region kind: {region!r}")
@@ -60,16 +62,13 @@ def realize(complex: CfkComplex, region: Region) -> F2Complex:
         point = region.point(g.alexander)
         if point is not None:
             points.append(LatticePoint(g.id, *point))
-    index = {p: k for k, p in enumerate(points)}
+    index = {p.gen: k for k, p in enumerate(points)}
 
     boundary = [0] * len(points)
     for k, p in enumerate(points):
         for e in complex.entries_from[p.gen]:
-            ti = p.i - e.upower
-            tj = ti + complex.alexander(e.dst)
-            target = LatticePoint(e.dst, ti, tj)
-            t = index.get(target)
-            if t is not None:
+            t = index.get(e.dst)
+            if t is not None and points[t].i == p.i - e.upower:
                 boundary[k] ^= 1 << t
     out = F2Complex(tuple(points), tuple(boundary))
     out.check()

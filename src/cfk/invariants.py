@@ -1,13 +1,15 @@
 """Concordance invariants tau, epsilon and a1, by two equivalent routes.
 
-Both a1 routes read one death reader: filter the hook or lhook at tau by
-a level on its points, and find the least level at which the map from or
-to the column dies on homology.  The routes differ only in the level.
-The algebraic route filters by i; the surgery route by the step level
-that the (n,1)-cable of the meridian induces on the hook (the
-large-surgery model), the second coordinate of meridian_filtration and
-the only definition of a step level here.  Their agreement is the
-theorem the test suite exercises.
+A route is a level function level(shape, t, i, j): the level it gives the
+point (i, j) of the hook or lhook at tau = t.  The algebraic route _by_i
+gives i; the surgery route _by_steps(n) gives the step level that the
+(n,1)-cable of the meridian induces on the hook (the large-surgery
+model), the second coordinate of meridian_filtration and the only
+definition of a step level here, mirrored on the lhook.  One death
+reader levels the hook or lhook with a route and finds the least level
+at which the map from or to the column dies on homology, and one signed
+reader turns that level into a1.  The routes' agreement is the theorem
+the test suite exercises.
 
 Each cutoff family is a filtration of one complex, so every cutoff is read
 off one filtered reduction (persistence) instead of one homology per
@@ -66,14 +68,34 @@ def meridian_filtration(i: int, j: int, m: int, n: int) -> BiFiltrationLevel:
     return BiFiltrationLevel(j - m, j - m - n)
 
 
+# a route: the level of the point (i, j) of the hook or lhook at tau = t
+Level = Callable[[str, int, int, int], int]
+
+
+def _by_i(shape: str, t: int, i: int, j: int) -> int:
+    """The algebraic route: every point sits at its i-coordinate."""
+    return i
+
+
+def _by_steps(n: int) -> Level:
+    """The surgery route: the n-cable's step levels.
+
+    On the hook a point's level is the second coordinate of
+    meridian_filtration.  The lhook at t is the mirror image of the hook
+    at -t, so it carries the mirrored step levels.
+    """
+
+    def level(shape: str, t: int, i: int, j: int) -> int:
+        if shape == "hook":
+            return meridian_filtration(i, j, t, n).second
+        return -meridian_filtration(-i, -j, -t, n).second
+
+    return level
+
+
 class _Death(NamedTuple):
     level: int | None  # None when the map never dies
     target_dim: int  # dimension of the target's homology
-
-
-def _levels(complex: CfkComplex, shape: str, level: Callable[[int, int], int]) -> tuple[int, ...]:
-    """level(i, j) on each point of the hook or lhook at tau, in basis order."""
-    return tuple(level(p.i, p.j) for p in realize(complex, Region(shape, tau(complex))).points)
 
 
 @lru_cache(maxsize=4096)
@@ -121,10 +143,11 @@ def _death_at(complex: CfkComplex, shape: str, levels: tuple[int, ...]) -> _Deat
     return _Death(max(0, target.filtration[last]) if last >= 0 else 0, dim)
 
 
-def _deaths_by_i(complex: CfkComplex) -> tuple[_Death, _Death]:
-    """Where the maps f: column -> lhook and g: hook -> column die by i."""
-    f, g = (_death_at(complex, s, _levels(complex, s, lambda i, j: i)) for s in ("lhook", "hook"))
-    return f, g
+def _death(complex: CfkComplex, shape: str, level: Level) -> _Death:
+    """_death_at with the hook or lhook points at tau leveled by a route."""
+    t = tau(complex)
+    points = realize(complex, Region(shape, t)).points
+    return _death_at(complex, shape, tuple(level(shape, t, p.i, p.j) for p in points))
 
 
 def tau(complex: CfkComplex) -> int:
@@ -146,7 +169,7 @@ def tau(complex: CfkComplex) -> int:
 
 def epsilon(complex: CfkComplex) -> int:
     """Sign invariant from which of the two hook maps dies on homology."""
-    f, g = _deaths_by_i(complex)
+    f, g = (_death(complex, shape, _by_i) for shape in ("lhook", "hook"))
     if f.level is not None and g.level is not None:
         raise InvariantViolation("both hook maps vanish on homology")
     if f.level is not None:
@@ -156,13 +179,13 @@ def epsilon(complex: CfkComplex) -> int:
     return 0
 
 
-def a1_algebraic(complex: CfkComplex) -> int:
-    """Refinement of epsilon: where the hook map of its sign dies, by i.
+def _a1(complex: CfkComplex, level: Level) -> int:
+    """a1 read with a route's levels: where the hook map of epsilon's sign dies.
 
     For positive sign: the least s at which the column-to-lhook map dies
-    on homology once the lhook is cut to {i <= s}.  For negative sign:
+    on homology once the lhook is cut to {level <= s}.  For negative sign:
     minus the least s at which the hook-to-column map dies once the hook
-    is cut to {i >= -s}, read off the dual hook, where those quotients
+    is cut to {level >= -s}, read off the dual hook, where those quotients
     become sublevel complexes and the pulled-back column cocycles must
     become coboundaries.  Zero sign gives zero.
     """
@@ -170,10 +193,15 @@ def a1_algebraic(complex: CfkComplex) -> int:
     if eps == 0:
         return 0
     g = complex.genus_bound
-    s = _deaths_by_i(complex)[0 if eps == 1 else 1].level
-    if s > 2 * g + 2:
+    s = _death(complex, "lhook" if eps == 1 else "hook", level).level
+    if s is None or s > 2 * g + 2:
         raise SearchExhausted(f"a1 search exhausted [0, {2 * g + 2}]; complex invalid")
     return eps * s
+
+
+def a1_algebraic(complex: CfkComplex) -> int:
+    """Refinement of epsilon: where the hook map of its sign dies, by i."""
+    return _a1(complex, _by_i)
 
 
 def a1_surgery(complex: CfkComplex, n: int) -> int:
@@ -181,57 +209,15 @@ def a1_surgery(complex: CfkComplex, n: int) -> int:
 
     Requires n above twice the genus bound, the regime where step levels
     agree with the i-coordinate on occupied points and the surgery route
-    computes a1; _a1_by_steps reads the step levels at any n.
+    computes a1.  The reader itself, _a1 with _by_steps(n), is defined for
+    every n >= 1; below 2g + 1 the step levels saturate on the arm, so the
+    value can differ from a1, and the tests compare it with the oracle's
+    walk.
     """
     g = complex.genus_bound
     if n <= 2 * g:
         raise ParameterError(f"need n > {2 * g} (twice the genus bound), got {n}")
-    return _a1_by_steps(complex, n)
-
-
-def _a1_by_steps(complex: CfkComplex, n: int) -> int:
-    """The algebraic route with the n-cable's step levels in place of i.
-
-    Negative sign: drop hook levels from the bottom until the map to the
-    column dies on homology; the answer is minus the number of dropped arm
-    levels.  Positive sign: grow the lhook from the bottom until the map
-    from the column into it dies; the lhook at t is the mirror image of the
-    hook at -t, so it carries the mirrored step levels.  Defined for every
-    n >= 1; below 2g + 1 the step levels saturate on the arm, so the value
-    can differ from a1, and the tests compare it with the oracle's walk.
-    """
-    g = complex.genus_bound
-    eps = epsilon(complex)
-    if eps == 0:
-        return 0
-    t = tau(complex)
-    if eps == -1:
-        levels = _levels(complex, "hook", lambda i, j: meridian_filtration(i, j, t, n).second)
-        s = _death_at(complex, "hook", levels).level
-    else:
-        levels = _levels(complex, "lhook", lambda i, j: -meridian_filtration(-i, -j, -t, n).second)
-        s = _death_at(complex, "lhook", levels).level
-    if s is None or s > 2 * g + 2:
-        raise SearchExhausted(f"surgery a1 search exhausted [0, {2 * g + 2}]")
-    return eps * s
-
-
-def i_filtration_coincides(complex: CfkComplex, m: int, n: int) -> bool:
-    """Do the step levels on the hook agree with the i-coordinate throughout?
-
-    True exactly when no occupied hook point falls into the truncated
-    bottom level; with |m| within the genus bound and n above twice of it
-    this is a theorem, surfaced here as a runtime check.  Each generator
-    occupies the hook at one point, read off its Alexander grading.
-    """
-    g = complex.genus_bound
-    if abs(m) > g:
-        raise ParameterError(f"slot {m} outside the genus bound {g}")
-    if n <= 2 * g:
-        raise ParameterError(f"need n > {2 * g} (twice the genus bound), got {n}")
-    hook = Region("hook", m)
-    points = (hook.point(x.alexander) for x in complex.generators)
-    return all(meridian_filtration(i, j, m, n).second == i for i, j in points)
+    return _a1(complex, _by_steps(n))
 
 
 @dataclass(frozen=True)
@@ -280,11 +266,10 @@ def invariants(complex: CfkComplex, n: int | None = None) -> InvariantReport:
     eps = epsilon(complex)
     if (a1 > 0) - (a1 < 0) != eps:
         raise InvariantViolation(f"sgn(a1) != epsilon on {complex.name}")
-    lhook, hook = _deaths_by_i(complex)
     dims = {
         "vertical": column(complex)[1].dimension,
-        "hook": hook.target_dim,
-        "lhook": lhook.target_dim,
+        "hook": _death(complex, "hook", _by_i).target_dim,
+        "lhook": _death(complex, "lhook", _by_i).target_dim,
     }
     return InvariantReport(
         name=complex.name,

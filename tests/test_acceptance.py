@@ -20,13 +20,16 @@ from cfk.complexes import mirror, tensor, validate
 from cfk.invariants import (
     a1_algebraic,
     a1_surgery,
-    i_filtration_coincides,
     connect_sum_rules,
     epsilon,
     meridian_filtration,
     tau,
 )
+from cfk.homology import realize
+from cfk.regions import Region
 from cfk.suite import run_suite
+
+from oracles import hook_step
 
 LIBRARY = build_library()
 
@@ -97,11 +100,16 @@ def test_criterion_3_filtration_formula():
 
 
 def test_criterion_4_i_filtration():
+    # the paper: for n > 2g the n-cable's step level of every occupied hook
+    # point at a slot |m| <= g is its i-coordinate
     cases = 0
     for name, c in LIBRARY.items():
         g = c.genus_bound
+        n = 2 * g + 1
         for m in range(-g, g + 1):
-            assert i_filtration_coincides(c, m, 2 * g + 1), (name, m)
+            for p in realize(c, Region("hook", m)).points:
+                second = meridian_filtration(p.i, p.j, m, n).second
+                assert second == hook_step(p.i, n) == p.i, (name, m, p)
             cases += 1
     print(f"ACCEPTANCE 4 PASS: step levels match the i-filtration in {cases} slots")
 

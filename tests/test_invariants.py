@@ -14,11 +14,11 @@ from cfk.complexes import mirror, parse, tensor, validate
 from cfk import gf2
 from cfk.invariants import (
     SearchExhausted,
-    _a1_by_steps,
+    _a1,
+    _by_steps,
     _death_at,
     a1_algebraic,
     a1_surgery,
-    i_filtration_coincides,
     connect_sum_prediction,
     connect_sum_rules,
     epsilon,
@@ -28,6 +28,7 @@ from cfk.invariants import (
 )
 from cfk.regions import Region
 from cfk.homology import column, homology, realize
+from cfk.suite import SuiteContext, prop_i_filtration
 
 from oracles import (
     a1_algebraic_by_walk,
@@ -97,13 +98,15 @@ def test_step_levels_match_filtration_second_coordinate(library):
             hook = realize(c, Region("hook", m)).points
             lhook = realize(c, Region("lhook", m)).points
             for n in (1, 2, 3, 2 * g + 1):
+                level = _by_steps(n)
                 for p in hook:
-                    assert meridian_filtration(p.i, p.j, m, n) == (0, hook_step(p.i, n))
+                    assert meridian_filtration(p.i, p.j, m, n).first == 0
+                    assert level("hook", m, p.i, p.j) == hook_step(p.i, n)
                     saturated += hook_step(p.i, n) != p.i
                 for p in lhook:
                     # the lhook at m is the mirror image of the hook at -m
-                    level = meridian_filtration(-p.i, -p.j, -m, n)
-                    assert (-level.first, -level.second) == (0, lhook_step(p.i, n))
+                    assert meridian_filtration(-p.i, -p.j, -m, n).first == 0
+                    assert level("lhook", m, p.i, p.j) == lhook_step(p.i, n)
                     saturated += lhook_step(p.i, n) != p.i
     assert saturated > 0
 
@@ -195,20 +198,15 @@ def test_a1_thin_models():
 # -- the i-filtration coincidence ----------------------------------------------
 
 
-def test_i_filtration_reads_gradings_only(library):
+def test_i_filtration_reads_gradings_only():
+    # the suite property levels each generator's hook point, read off its
+    # grading, with the surgery route's _by_steps(2g + 1): no realization
+    ctx = SuiteContext(0)
     realize.cache_clear()
-    for c in library.values():
-        g = c.genus_bound
-        for m in range(-g, g + 1):
-            assert i_filtration_coincides(c, m, 2 * g + 1), (c.name, m)
+    cases, failures = prop_i_filtration(ctx)
+    assert failures == []
+    assert cases == sum(2 * c.genus_bound + 1 for c in ctx.library.values())
     assert realize.cache_info().misses == 0
-
-
-def test_i_filtration_hypotheses(trefoil):
-    with pytest.raises(ValueError):
-        i_filtration_coincides(trefoil, 2, 3)  # slot outside genus bound
-    with pytest.raises(ValueError):
-        i_filtration_coincides(trefoil, 0, 2)  # cable parameter too small
 
 
 # -- connect sum rules ----------------------------------------------------------
@@ -267,7 +265,8 @@ def test_cutoffs_match_walks():
     t56 = staircase(torus_knot_exponents(5, 6))
     pool += [staircase(torus_knot_exponents(7, 8)), tensor(t56, t56)]
     pool += [thin_model(t, boxes=1, box_offset=40) for t in (1, -1)]
-    for c in pool:
+    # equal structures under different names are walked once
+    for c in dict.fromkeys(pool):
         n = 2 * c.genus_bound + 1
         assert tau(c) == tau_by_walk(c), c.name
         assert epsilon(c) == epsilon_by_maps(c), c.name
@@ -292,7 +291,7 @@ def test_step_reader_matches_the_walk_at_every_n():
     for c in dict.fromkeys(pool):
         a1 = a1_algebraic(c)
         for n in range(1, 2 * c.genus_bound + 1):
-            assert _a1_by_steps(c, n) == a1_surgery_by_walk(c, n), (c.name, n)
+            assert _a1(c, _by_steps(n)) == a1_surgery_by_walk(c, n), (c.name, n)
             truncated += abs(a1) > n
     assert truncated > 0
 

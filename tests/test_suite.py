@@ -1,7 +1,15 @@
 import pytest
 
-from cfk import gf2
-from cfk.suite import PROPERTIES, SuiteContext, prop_slice_dim_one, prop_validate, run_suite
+from cfk import gf2, suite
+from cfk.invariants import tau
+from cfk.suite import (
+    PROPERTIES,
+    SuiteContext,
+    prop_slice_dim_one,
+    prop_tensor_commutes,
+    prop_validate,
+    run_suite,
+)
 
 
 @pytest.fixture(scope="module")
@@ -41,3 +49,15 @@ def test_column_dim_one_reads_the_validated_column(monkeypatch):
     monkeypatch.setattr(gf2, "image_and_kernel", lambda cols: calls.append(1) or kernel(cols))
     assert prop_slice_dim_one(ctx) == (len(ctx.pool), [])
     assert calls == []
+
+
+def test_tensor_associativity_compares_two_complexes(monkeypatch):
+    # (ab)c and a(bc) carry the same ids, so they are one complex and the
+    # right side's invariants would be cache hits on the left side's
+    # entries; the associativity case must read a product with other ids
+    seen = []
+    monkeypatch.setattr(suite, "tau", lambda c: seen.append(c) or tau(c))
+    assert prop_tensor_commutes(SuiteContext(0)) == (5, [])
+    left, right = seen[-2:]
+    assert left != right
+    assert len(left.generators) == len(right.generators)
