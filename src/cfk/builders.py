@@ -1,9 +1,10 @@
 """Model complexes: staircases, boxes, thin and Conway models, random models.
 
 Staircases realize complexes of L-space knots from the alternating exponents
-of their Alexander polynomials; torus-knot and cable exponents are computed
-by exact polynomial arithmetic.  The random generator composes these shapes,
-so every model it emits is valid by construction.
+of their Alexander polynomials; torus-knot exponents are read off the
+semigroup <p, q>, cable exponents by exact polynomial arithmetic.  The
+random generator composes these shapes, so every model it emits is valid
+by construction.
 """
 
 from __future__ import annotations
@@ -145,27 +146,6 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    while den and den[-1] == 0:
-        den = den[:-1]
-    dn = len(den) - 1
-    quot = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        if c % den[dn] != 0:
-            raise CfkError("polynomial division is not exact")
-        q = c // den[dn]
-        quot[i - dn] = q
-        for j, cd in enumerate(den):
-            num[i - dn + j] -= q * cd
-    if any(num):
-        raise CfkError("polynomial division is not exact")
-    return quot
-
-
 def _laurent_from_exponents(exponents: tuple[int, ...]) -> tuple[list[int], int]:
     lo = min(exponents)
     coeffs = [0] * (max(exponents) - lo + 1)
@@ -189,7 +169,12 @@ def _alternating_exponents(coeffs: list[int], lo: int) -> tuple[int, ...]:
 
 
 def torus_knot_exponents(p: int, q: int) -> AlexanderExponents:
-    """Alexander exponents of the (p, q) torus knot from the product formula.
+    """Alexander exponents of the (p, q) torus knot from the semigroup <p, q>.
+
+    The polynomial is (1 - t) times the sum of t^s over the semigroup S
+    generated by p and q, truncated at the conductor 2g, and shifted by -g.
+    So m in [0, 2g] gives an exponent exactly when m and m - 1 differ in
+    membership of S, and the signs alternate by themselves.
 
     >>> torus_knot_exponents(2, 3).exponents
     (1, 0, -1)
@@ -200,17 +185,12 @@ def torus_knot_exponents(p: int, q: int) -> AlexanderExponents:
         raise ParameterError(f"need positive parameters, got ({p}, {q})")
     if gcd(p, q) != 1:
         raise ParameterError(f"parameters ({p}, {q}) are not coprime")
-
-    def one_minus_t_pow(k: int) -> list[int]:
-        c = [0] * (k + 1)
-        c[0] = -1
-        c[k] = 1
-        return c
-
-    num = _poly_mul(one_minus_t_pow(p * q), one_minus_t_pow(1))
-    quot = _poly_divexact(num, _poly_mul(one_minus_t_pow(p), one_minus_t_pow(q)))
     genus = (p - 1) * (q - 1) // 2
-    return AlexanderExponents(_alternating_exponents(quot, -genus))
+    member = [True]  # member[m]: m lies in S
+    for m in range(1, 2 * genus + 1):
+        member.append((m >= p and member[m - p]) or (m >= q and member[m - q]))
+    jumps = [m for m in range(2 * genus, -1, -1) if member[m] != (m > 0 and member[m - 1])]
+    return AlexanderExponents(tuple(m - genus for m in jumps))
 
 
 def cable_exponents(base: AlexanderExponents, p: int, q: int) -> AlexanderExponents:

@@ -120,7 +120,7 @@ class CfkComplex:
 
     @cached_property
     def genus_bound(self) -> int:
-        """max |A(x)|; a valid complex has |tau| <= g + 1 and |a1| <= 2g + 2."""
+        """max |A(x)|; a valid complex has |tau| <= g and |a1| <= 2g."""
         return max((abs(g.alexander) for g in self.generators), default=0)
 
 
@@ -128,11 +128,13 @@ class CfkComplex:
 class ValidationReport:
     """Pass/fail per algebraic axiom, with entry-level error messages.
 
-    ``checks`` only contains the checks that actually ran: maslov-rule runs
-    only on a complex with Maslov gradings, and vertical-homology-rank only
-    once alexander-rule and d-squared have passed, since the column is
-    realized only then.  The structural rules are not here: a CfkComplex
-    keeps them from construction on.
+    validate is the one place that checks these axioms: realize, tensor,
+    direct_sum and the invariants trust them.  ``checks`` only contains the
+    checks that actually ran: maslov-rule runs only on a complex with Maslov
+    gradings, and vertical-homology-rank only once alexander-rule and
+    d-squared have passed, since the column is realized only then.  The
+    structural rules are not here: a CfkComplex keeps them from
+    construction on.
     """
 
     checks: dict[str, bool] = field(default_factory=dict)
@@ -252,18 +254,12 @@ def tensor(a: CfkComplex, b: CfkComplex) -> CfkComplex:
 def direct_sum(a: CfkComplex, b: CfkComplex) -> CfkComplex:
     """Disjoint union of two complexes.
 
-    Exactly one summand may carry the one-dimensional vertical homology;
-    the other must be acyclic in the vertical direction, otherwise the sum
-    could not satisfy the rank-one axiom and is refused.  Summands that share
-    a generator id raise ParseError at construction.
+    The sum is a knot complex exactly when one summand carries the
+    one-dimensional vertical homology and the other is vertically acyclic;
+    like tensor, direct_sum does not check that, and validate reports the
+    sum's vertical-homology-rank.  Summands that share a generator id raise
+    ParseError at construction.
     """
-    from .homology import column
-
-    dims = sorted(column(x)[1].dimension for x in (a, b))
-    if dims != [0, 1]:
-        raise CfkError(
-            f"direct sum vertical homology dimensions {dims} (need one 1 and one 0)"
-        )
     return CfkComplex(
         f"{a.name} + {b.name}",
         a.generators + b.generators,

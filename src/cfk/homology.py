@@ -1,11 +1,12 @@
 """Region realizations, level sorting and mod-2 homology.
 
 Realizing a region turns a bifiltered complex into a plain finite chain
-complex over the two-element field, checked once for d^2 = 0.  Sorting it
-by a level checks that no boundary raises the level.  Chains are int
-bitsets over the basis (see gf2); homology representatives are read off
-the pivots of one deterministic reduction in basis order, so fixtures stay
-stable.  There are no chain maps here: the maps between regions that the
+complex over the two-element field.  A region is a subquotient, so its
+d^2 = 0 follows from the complex's, which validate checks; nothing here
+re-checks it.  Sorting by a level checks that no boundary raises the
+level.  Chains are int bitsets over the basis (see gf2); homology
+representatives are read off the pivots of one deterministic reduction in
+basis order, so fixtures stay stable.  There are no chain maps here: the maps between regions that the
 invariants need send each lattice point to itself, and the death reader
 in invariants applies them as plain column lists.
 """
@@ -37,13 +38,6 @@ class F2Complex:
     def dim(self) -> int:
         return len(self.points)
 
-    def check(self) -> None:
-        """Raise RegionError unless the boundary squares to zero."""
-        cols = list(self.boundary)
-        for j in range(self.dim):
-            if gf2.apply_columns(cols, cols[j]) != 0:
-                raise RegionError(f"boundary^2 != 0 at basis point {self.points[j]}")
-
 
 @lru_cache(maxsize=4096)
 def realize(complex: CfkComplex, region: Region) -> F2Complex:
@@ -70,9 +64,7 @@ def realize(complex: CfkComplex, region: Region) -> F2Complex:
             t = index.get(e.dst)
             if t is not None and points[t].i == p.i - e.upower:
                 boundary[k] ^= 1 << t
-    out = F2Complex(tuple(points), tuple(boundary))
-    out.check()
-    return out
+    return F2Complex(tuple(points), tuple(boundary))
 
 
 @dataclass(frozen=True)
@@ -130,10 +122,11 @@ def sorted_by_level(x: F2Complex, levels: tuple[int, ...]) -> F2Complex:
 def column(complex: CfkComplex) -> tuple[F2Complex, HomologyResult]:
     """The column at i = 0, re-indexed in ascending j, and its homology.
 
-    The one reduction of the column: validate's rank check, direct_sum's
-    summand check, tau, the death reader and the report's vertical
-    dimension all read it.  It raises RegionError unless the U^0 entries
-    keep the Alexander rule and square to zero.
+    The one reduction of the column: validate's rank check, tau, the death
+    reader, the suite's Euler characteristic and the report's vertical
+    dimension all read it.  It raises RegionError when a U^0 entry breaks
+    the Alexander rule; validate reads it only once that rule and d^2 = 0
+    have passed.
     """
     x = realize(complex, Region("vertical", 0))
     x = sorted_by_level(x, tuple(p.j for p in x.points))

@@ -44,7 +44,8 @@ class InvariantViolation(CfkError):
 
 
 class SearchExhausted(CfkError):
-    """An invariant fell outside the range the genus bound allows; the complex is not valid."""
+    """An invariant has no value: the column has no homology generator, or the
+    hook map never dies.  Neither happens on a complex that passed validate."""
 
 
 class BiFiltrationLevel(NamedTuple):
@@ -120,8 +121,11 @@ def _death_at(complex: CfkComplex, shape: str, levels: tuple[int, ...]) -> _Deat
 
     f is a plain column list, not a checked chain map: a same-point map
     between regions commutes with the boundaries by the region theory, and
-    realize has checked d^2 = 0 on both ends.  The test oracles build the
-    same maps with their own commutation check.
+    both ends are chain complexes because validate has checked d^2 = 0 on
+    the knot complex.  The test oracles build the same maps with their own
+    commutation and d^2 checks.  Every level found is at most 2g: an lhook
+    point has i = max(0, t - A) <= 2g, a hook point -i <= 2g, and the step
+    levels never exceed these.
     """
     source, h = column(complex)
     target = realize(complex, Region(shape, tau(complex)))
@@ -156,15 +160,12 @@ def tau(complex: CfkComplex) -> int:
     The column is reduced once in ascending j.  Its kernel comes out with
     one top bit per cycle, so the first representative is the earliest
     cycle in j order that is not a boundary, and tau is the j of its top
-    basis point.
+    basis point, so |tau| <= g.
     """
-    g = complex.genus_bound
     by_j, h = column(complex)
-    reps = h.representatives
-    s = by_j.filtration[reps[0].bit_length() - 1] if reps else None
-    if s is None or not -g - 1 <= s <= g + 1:
-        raise SearchExhausted(f"tau not found in [{-g - 1}, {g + 1}]; complex invalid")
-    return s
+    if not h.representatives:
+        raise SearchExhausted("the column has no homology generator; complex invalid")
+    return by_j.filtration[h.representatives[0].bit_length() - 1]
 
 
 def epsilon(complex: CfkComplex) -> int:
@@ -192,10 +193,9 @@ def _a1(complex: CfkComplex, level: Level) -> int:
     eps = epsilon(complex)
     if eps == 0:
         return 0
-    g = complex.genus_bound
     s = _death(complex, "lhook" if eps == 1 else "hook", level).level
-    if s is None or s > 2 * g + 2:
-        raise SearchExhausted(f"a1 search exhausted [0, {2 * g + 2}]; complex invalid")
+    if s is None:
+        raise SearchExhausted("the hook map never dies; complex invalid")
     return eps * s
 
 

@@ -127,16 +127,17 @@ def prop_euler_characteristic(ctx: SuiteContext) -> tuple[int, list[str]]:
         if not c.maslov_present:
             continue
         cases += 1
-        column = realize(c, Region("vertical", 0))
+        # the cached column reduction that validate's rank check made
+        x, h = column(c)
         maslov = {g.id: g.maslov for g in c.generators}
-        even = [k for k, p in enumerate(column.points) if maslov[p.gen] % 2 == 0]
-        odd = [k for k, p in enumerate(column.points) if maslov[p.gen] % 2 != 0]
-        r_even = gf2.rank([column.boundary[k] for k in even])
-        r_odd = gf2.rank([column.boundary[k] for k in odd])
+        even = [k for k, p in enumerate(x.points) if maslov[p.gen] % 2 == 0]
+        odd = [k for k, p in enumerate(x.points) if maslov[p.gen] % 2 != 0]
+        r_even = gf2.rank([x.boundary[k] for k in even])
+        r_odd = gf2.rank([x.boundary[k] for k in odd])
         h_even = len(even) - r_even - r_odd
         h_odd = len(odd) - r_odd - r_even
-        chi = sum(1 if maslov[p.gen] % 2 == 0 else -1 for p in column.points)
-        total = homology(column).dimension
+        chi = sum(1 if maslov[p.gen] % 2 == 0 else -1 for p in x.points)
+        total = h.dimension
         if h_even - h_odd != chi or h_even + h_odd != total:
             failures.append(_offender(c, "euler characteristic mismatch on the column"))
     return cases, failures

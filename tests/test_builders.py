@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 import cfk.builders as builders
@@ -46,9 +48,10 @@ def test_staircase_trefoil_shape(trefoil):
     }
 
 
+# every coprime p <= q <= 9, and two longer staircases
 @pytest.mark.parametrize(
     "p,q",
-    [(2, 3), (2, 5), (2, 7), (2, 9), (2, 11), (2, 13), (3, 4), (3, 5), (4, 5), (3, 7), (5, 6)],
+    [(p, q) for p in range(1, 10) for q in range(p, 10) if gcd(p, q) == 1] + [(2, 11), (2, 13)],
 )
 def test_torus_exponents_match_sympy(p, q):
     assert torus_knot_exponents(p, q).exponents == sympy_torus_exponents(p, q)

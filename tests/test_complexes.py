@@ -9,7 +9,6 @@ import pytest
 
 from cfk.complexes import (
     CfkComplex,
-    CfkError,
     DiffEntry,
     Generator,
     ParseError,
@@ -158,9 +157,12 @@ def test_broken_complex_fails_validate_on_the_command_line(capsys, tmp_path, fai
     assert "vertical" not in out.out and "Traceback" not in out.err
 
 
-def test_direct_sum_refuses_a_d_squared_broken_summand(the_unknot):
-    with pytest.raises(CfkError):
-        direct_sum(_BROKEN["d-squared"], the_unknot)
+def test_direct_sum_with_a_d_squared_broken_summand_fails_validate():
+    # direct_sum trusts its summands; validate reports the sum
+    dot = CfkComplex("dot", (Generator("o", 0),), ())
+    rep = validate(direct_sum(_BROKEN["d-squared"], dot))
+    assert rep.checks["d-squared"] is False
+    assert "vertical-homology-rank" not in rep.checks
 
 
 def test_column_check_runs_exactly_when_its_prerequisites_pass(trefoil):
@@ -271,23 +273,29 @@ def test_direct_sum_with_box(the_unknot):
     assert validate(s).ok
 
 
-def test_direct_sum_rejects_two_boxes():
-    with pytest.raises(CfkError):
-        direct_sum(box(prefix="p."), box(prefix="q."))
+def _rank_failure(c: CfkComplex) -> list[str]:
+    rep = validate(c)
+    assert rep.checks["d-squared"] and rep.checks["vertical-homology-rank"] is False
+    return rep.errors
 
 
-def test_direct_sum_rejects_two_staircases(trefoil, t29):
+def test_direct_sum_of_two_boxes_fails_the_rank_check():
+    s = direct_sum(box(prefix="p."), box(prefix="q."))
+    assert _rank_failure(s) == ["vertical homology has dimension 0, expected 1"]
+
+
+def test_direct_sum_of_two_staircases_fails_the_rank_check(trefoil, t29):
     relabeled = CfkComplex(
         "other",
         tuple(Generator("x" + g.id, g.alexander, g.maslov) for g in t29.generators),
         tuple(DiffEntry("x" + e.src, "x" + e.dst, e.upower) for e in t29.differential),
     )
-    with pytest.raises(CfkError):
-        direct_sum(trefoil, relabeled)
+    s = direct_sum(trefoil, relabeled)
+    assert _rank_failure(s) == ["vertical homology has dimension 2, expected 1"]
 
 
 def test_direct_sum_rejects_id_collision():
-    # the summands pass the homology check; construction refuses the sum
+    # construction refuses a sum whose summands share a generator id
     with pytest.raises(ParseError, match=r"^duplicate generator id 'q0\.tl'$"):
         direct_sum(conway_model(), box(prefix="q0."))
 

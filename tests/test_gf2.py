@@ -6,7 +6,13 @@ from cfk.complexes import mirror
 from cfk.homology import F2Complex, column, dual, homology, realize
 from cfk.regions import LatticePoint, Region
 
-from oracles import apply_boundary, greedy_representatives, scan_image_and_kernel, scan_reduce
+from oracles import (
+    apply_boundary,
+    d_squared_is_zero,
+    greedy_representatives,
+    scan_image_and_kernel,
+    scan_reduce,
+)
 
 
 def test_rank_identity():
@@ -122,7 +128,7 @@ def test_kernel_matches_linear_scan_on_random_boundaries():
         n = rng.randint(1, 24)
         points = tuple(LatticePoint(f"x{k}", 0, 0) for k in range(n))
         x = F2Complex(points, tuple(random_boundary(rng, n)))
-        x.check()  # d^2 = 0
+        assert d_squared_is_zero(x)
         assert_kernel_matches_scan(x, rng)
         assert_kernel_matches_scan(dual(x), rng)
 

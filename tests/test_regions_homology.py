@@ -14,6 +14,7 @@ from oracles import (
     brute_homology_dim,
     brute_is_trivial,
     chain_map_by_points,
+    d_squared_is_zero,
     f_map,
     g_map,
     is_trivial,
@@ -206,10 +207,24 @@ def test_dual_is_the_transpose():
             for k, col in enumerate(x.boundary):
                 for t in range(x.dim):
                     assert (col >> t) & 1 == (d.boundary[t] >> k) & 1
-            d.check()
+            assert d_squared_is_zero(d)
             assert homology(d).dimension == homology(x).dimension
             if x.dim <= 13:
                 assert brute_homology_dim(d.boundary) == homology(x).dimension
+
+
+def test_regions_of_valid_complexes_square_to_zero(library):
+    # realize trusts validate: a region of a valid complex is a subquotient,
+    # so its boundary squares to zero, and so does its dual's
+    pool = list(library.values())
+    pool += [random_model(seed, size) for size in (1, 2, 3) for seed in range(20)]
+    for c in pool:
+        g = c.genus_bound
+        for shape in ("vertical", "hook", "lhook"):
+            for level in range(-g - 1, g + 2):
+                x = realize(c, Region(shape, level))
+                assert d_squared_is_zero(x), (c.name, shape, level)
+                assert d_squared_is_zero(dual(x)), (c.name, shape, level)
 
 
 def test_lattice_points_agree_with_membership():
