@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring
+from typing import NamedTuple
 
 
 class CfkError(Exception):
@@ -31,15 +33,13 @@ class ParameterError(CfkError, ValueError):
     """A numeric parameter outside the range where an operation is defined."""
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     id: str
     alexander: int
     maslov: int | None = None
 
 
-@dataclass(frozen=True)
-class DiffEntry:
+class DiffEntry(NamedTuple):
     """One differential term: d(src) contains U^upower * dst."""
 
     src: str
@@ -67,7 +67,7 @@ class CfkComplex:
 
     def __post_init__(self) -> None:
         gens = tuple(sorted(self.generators, key=lambda g: (-g.alexander, g.id)))
-        entries = tuple(sorted(self.differential, key=lambda e: (e.src, e.dst, e.upower)))
+        entries = tuple(sorted(self.differential))
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "differential", entries)
         ids: set[str] = set()
@@ -267,22 +267,34 @@ def direct_sum(a: CfkComplex, b: CfkComplex) -> CfkComplex:
     )
 
 
-def to_dict(complex: CfkComplex) -> dict:
-    gens = []
-    for g in complex.generators:
-        d = {"id": g.id, "alexander": g.alexander}
-        if g.maslov is not None:
-            d["maslov"] = g.maslov
-        gens.append(d)
-    entries = [
-        {"from": e.src, "to": e.dst, "upower": e.upower} for e in complex.differential
-    ]
-    return {"name": complex.name, "generators": gens, "differential": entries}
+def _json_list(items: list[str]) -> str:
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def serialize(complex: CfkComplex) -> str:
-    """Canonical text form; parse . serialize is the identity on canonical text."""
-    return json.dumps(to_dict(complex), ensure_ascii=False, indent=2) + "\n"
+    """Canonical text form; parse . serialize is the identity on canonical text.
+
+    The text is exactly json.dumps(..., ensure_ascii=False, indent=2) + "\n"
+    of the object with keys name, generators (id, alexander, maslov when
+    present) and differential (from, to, upower), written directly: strings
+    go through json's own escaping, integers are written in decimal.
+    """
+    q = encode_basestring
+    gens = [
+        f'{{\n      "id": {q(g.id)},\n      "alexander": {g.alexander}'
+        + ("" if g.maslov is None else f',\n      "maslov": {g.maslov}')
+        + "\n    }"
+        for g in complex.generators
+    ]
+    entries = [
+        f'{{\n      "from": {q(e.src)},\n      "to": {q(e.dst)},'
+        f'\n      "upower": {e.upower}\n    }}'
+        for e in complex.differential
+    ]
+    return (
+        f'{{\n  "name": {q(complex.name)},\n  "generators": {_json_list(gens)},'
+        f'\n  "differential": {_json_list(entries)}\n}}\n'
+    )
 
 
 def parse(text: str) -> CfkComplex:

@@ -84,7 +84,7 @@ def homology(x: F2Complex) -> HomologyResult:
     read off the one reduction that split the columns.
     Not cached: every cache in cfk is keyed on the knot complex plus small
     values.  realize is keyed on (complex, region), column on the complex,
-    and the invariants' death reader on (complex, shape, levels).
+    and the invariants' death reader on (complex, shape, route).
     """
     basis, kernel = gf2.image_and_kernel(list(x.boundary))
     reps = [z for z in kernel if z.bit_length() - 1 not in basis.by_pivot]

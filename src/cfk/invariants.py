@@ -7,9 +7,9 @@ gives i; the surgery route _by_steps(n) gives the step level that the
 model), the second coordinate of meridian_filtration and the only
 definition of a step level here, mirrored on the lhook.  One death
 reader levels the hook or lhook with a route and finds the least level
-at which the map from or to the column dies on homology, and one signed
-reader turns that level into a1.  The routes' agreement is the theorem
-the test suite exercises.
+at which the map from or to the column dies on homology; a1 is epsilon's
+sign times the level at which the map of that sign dies.  The routes'
+agreement is the theorem the test suite exercises.
 
 Each cutoff family is a filtration of one complex, so every cutoff is read
 off one filtered reduction (persistence) instead of one homology per
@@ -20,11 +20,14 @@ whether the maps die at all, so it reads which of the two algebraic
 reductions finds a level, and a1_algebraic reads that level.
 
 Caches are keyed on the knot complex plus small values, never on a chain
-complex.  This module owns one, the death reader on (complex, shape,
-levels); the j-sorted column and its homology come from homology.column,
-the entry validate also reads.  tau, epsilon and a1 are plain reads of
-those entries, and the surgery route hits the algebraic route's entry
-exactly when its levels equal i.
+complex, and cfk has three: realize on (complex, region), homology.column
+on the complex, and the death reader here on (complex, shape, route).  A
+route is a hashable value, _by_i or _by_steps(n), so a repeated read costs
+one cache lookup and never re-levels a region.  On a miss, a route whose
+levels equal the i-levels reads the _by_i entry, so the surgery route
+shares the algebraic route's reductions wherever the two agree.  tau,
+epsilon and a1 are plain reads of those entries, and a report reads the
+two algebraic deaths once for epsilon, a1 and the hook dimensions.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ def meridian_filtration(i: int, j: int, m: int, n: int) -> BiFiltrationLevel:
     return BiFiltrationLevel(j - m, j - m - n)
 
 
-# a route: the level of the point (i, j) of the hook or lhook at tau = t
+# a route: the level of the point (i, j) of the hook or lhook at tau = t.  A
+# route is also a hashable value, part of the death reader's cache key.
 Level = Callable[[str, int, int, int], int]
 
 
@@ -78,20 +82,21 @@ def _by_i(shape: str, t: int, i: int, j: int) -> int:
     return i
 
 
-def _by_steps(n: int) -> Level:
+class _by_steps(NamedTuple):
     """The surgery route: the n-cable's step levels.
 
     On the hook a point's level is the second coordinate of
     meridian_filtration.  The lhook at t is the mirror image of the hook
-    at -t, so it carries the mirrored step levels.
+    at -t, so it carries the mirrored step levels.  A value: equal n give
+    equal, equally hashed routes, which share the death reader's entries.
     """
 
-    def level(shape: str, t: int, i: int, j: int) -> int:
-        if shape == "hook":
-            return meridian_filtration(i, j, t, n).second
-        return -meridian_filtration(-i, -j, -t, n).second
+    n: int
 
-    return level
+    def __call__(self, shape: str, t: int, i: int, j: int) -> int:
+        if shape == "hook":
+            return meridian_filtration(i, j, t, self.n).second
+        return -meridian_filtration(-i, -j, -t, self.n).second
 
 
 class _Death(NamedTuple):
@@ -100,11 +105,13 @@ class _Death(NamedTuple):
 
 
 @lru_cache(maxsize=4096)
-def _death_at(complex: CfkComplex, shape: str, levels: tuple[int, ...]) -> _Death:
+def _death(complex: CfkComplex, shape: str, route: Level) -> _Death:
     """Where the map between the column and the hook or lhook at tau dies.
 
-    The region's points carry the given levels, and the answer is the least
-    level s, at least 0, at which the map dies on homology.  On the lhook,
+    The region's points carry the route's levels, and the answer is the
+    least level s, at least 0, at which the map dies on homology.  A route
+    whose levels equal the i-levels reads the _by_i entry, so the two
+    routes share one reduction wherever they agree.  On the lhook,
     f: column -> {level <= s} sends each column point inside the region,
     that is each one the realized target holds, to the same lattice point
     and the rest to 0.  One reduction of the lhook's boundary in
@@ -116,8 +123,7 @@ def _death_at(complex: CfkComplex, shape: str, levels: tuple[int, ...]) -> _Deat
     hook in descending level, which dies on cohomology exactly when g dies
     on homology (dual keeps the points, so f is built the same way).  The
     same reduction gives the target's homology dimension, kernel size minus
-    rank.  Both a1 routes read through here, and share an entry whenever
-    their levels agree.
+    rank.
 
     f is a plain column list, not a checked chain map: a same-point map
     between regions commutes with the boundaries by the region theory, and
@@ -127,8 +133,12 @@ def _death_at(complex: CfkComplex, shape: str, levels: tuple[int, ...]) -> _Deat
     point has i = max(0, t - A) <= 2g, a hook point -i <= 2g, and the step
     levels never exceed these.
     """
+    t = tau(complex)
+    target = realize(complex, Region(shape, t))
+    levels = tuple(route(shape, t, p.i, p.j) for p in target.points)
+    if route is not _by_i and levels == tuple(p.i for p in target.points):
+        return _death(complex, shape, _by_i)
     source, h = column(complex)
-    target = realize(complex, Region(shape, tau(complex)))
     reps = h.representatives
     if shape == "hook":
         source, target, levels = dual(source), dual(target), tuple(-s for s in levels)
@@ -147,13 +157,6 @@ def _death_at(complex: CfkComplex, shape: str, levels: tuple[int, ...]) -> _Deat
     return _Death(max(0, target.filtration[last]) if last >= 0 else 0, dim)
 
 
-def _death(complex: CfkComplex, shape: str, level: Level) -> _Death:
-    """_death_at with the hook or lhook points at tau leveled by a route."""
-    t = tau(complex)
-    points = realize(complex, Region(shape, t)).points
-    return _death_at(complex, shape, tuple(level(shape, t, p.i, p.j) for p in points))
-
-
 def tau(complex: CfkComplex) -> int:
     """Least cutoff s whose column subcomplex {j <= s} still sees the homology generator.
 
@@ -168,20 +171,35 @@ def tau(complex: CfkComplex) -> int:
     return by_j.filtration[h.representatives[0].bit_length() - 1]
 
 
+def _algebraic(complex: CfkComplex) -> tuple[_Death, _Death]:
+    """The algebraic route's deaths on the lhook and on the hook."""
+    return _death(complex, "lhook", _by_i), _death(complex, "hook", _by_i)
+
+
+def _epsilon_and_a1(lhook: _Death, hook: _Death) -> tuple[int, int]:
+    """epsilon and a1 from the algebraic route's deaths.
+
+    epsilon is the sign of the one hook map that dies on homology, +1 for
+    the column-to-lhook map and -1 for the hook-to-column map, and 0 when
+    neither dies; a1 is that sign times the level at which the map dies.
+    """
+    f, g = lhook.level, hook.level
+    if f is not None and g is not None:
+        raise InvariantViolation("both hook maps vanish on homology")
+    if f is not None:
+        return 1, f
+    if g is not None:
+        return -1, -g
+    return 0, 0
+
+
 def epsilon(complex: CfkComplex) -> int:
     """Sign invariant from which of the two hook maps dies on homology."""
-    f, g = (_death(complex, shape, _by_i) for shape in ("lhook", "hook"))
-    if f.level is not None and g.level is not None:
-        raise InvariantViolation("both hook maps vanish on homology")
-    if f.level is not None:
-        return 1
-    if g.level is not None:
-        return -1
-    return 0
+    return _epsilon_and_a1(*_algebraic(complex))[0]
 
 
-def _a1(complex: CfkComplex, level: Level) -> int:
-    """a1 read with a route's levels: where the hook map of epsilon's sign dies.
+def _a1(complex: CfkComplex, route: Level, eps: int) -> int:
+    """a1 read with a route's levels: where the hook map of sign eps dies.
 
     For positive sign: the least s at which the column-to-lhook map dies
     on homology once the lhook is cut to {level <= s}.  For negative sign:
@@ -190,10 +208,9 @@ def _a1(complex: CfkComplex, level: Level) -> int:
     become sublevel complexes and the pulled-back column cocycles must
     become coboundaries.  Zero sign gives zero.
     """
-    eps = epsilon(complex)
     if eps == 0:
         return 0
-    s = _death(complex, "lhook" if eps == 1 else "hook", level).level
+    s = _death(complex, "lhook" if eps == 1 else "hook", route).level
     if s is None:
         raise SearchExhausted("the hook map never dies; complex invalid")
     return eps * s
@@ -201,7 +218,15 @@ def _a1(complex: CfkComplex, level: Level) -> int:
 
 def a1_algebraic(complex: CfkComplex) -> int:
     """Refinement of epsilon: where the hook map of its sign dies, by i."""
-    return _a1(complex, _by_i)
+    return _epsilon_and_a1(*_algebraic(complex))[1]
+
+
+def _surgery_route(complex: CfkComplex, n: int) -> _by_steps:
+    """The step route at n, which computes a1 only for n above 2g."""
+    g = complex.genus_bound
+    if n <= 2 * g:
+        raise ParameterError(f"need n > {2 * g} (twice the genus bound), got {n}")
+    return _by_steps(n)
 
 
 def a1_surgery(complex: CfkComplex, n: int) -> int:
@@ -214,10 +239,7 @@ def a1_surgery(complex: CfkComplex, n: int) -> int:
     value can differ from a1, and the tests compare it with the oracle's
     walk.
     """
-    g = complex.genus_bound
-    if n <= 2 * g:
-        raise ParameterError(f"need n > {2 * g} (twice the genus bound), got {n}")
-    return _a1(complex, _by_steps(n))
+    return _a1(complex, _surgery_route(complex, n), epsilon(complex))
 
 
 @dataclass(frozen=True)
@@ -257,19 +279,19 @@ def invariants(complex: CfkComplex, n: int | None = None) -> InvariantReport:
     if n is None:
         n = 2 * g + 1
     t = tau(complex)
-    a1 = a1_algebraic(complex)
-    a1s = a1_surgery(complex, n)
+    lhook, hook = _algebraic(complex)
+    eps, a1 = _epsilon_and_a1(lhook, hook)
+    a1s = _a1(complex, _surgery_route(complex, n), eps)
     if a1 != a1s:
         raise InvariantViolation(
             f"a1 routes disagree on {complex.name}: algebraic {a1}, surgery {a1s}"
         )
-    eps = epsilon(complex)
     if (a1 > 0) - (a1 < 0) != eps:
         raise InvariantViolation(f"sgn(a1) != epsilon on {complex.name}")
     dims = {
         "vertical": column(complex)[1].dimension,
-        "hook": _death(complex, "hook", _by_i).target_dim,
-        "lhook": _death(complex, "lhook", _by_i).target_dim,
+        "hook": hook.target_dim,
+        "lhook": lhook.target_dim,
     }
     return InvariantReport(
         name=complex.name,

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from cfk.builders import (
@@ -45,3 +47,27 @@ def cable_t23_25():
 @pytest.fixture(scope="session")
 def the_unknot():
     return unknot()
+
+
+def _clear_cfk_caches() -> list:
+    """Clear every functools cache in the loaded cfk modules; return them by name.
+
+    Caches are found by their cache_clear attribute, so one that is added or
+    renamed is cleared without naming it here.
+    """
+    caches = {}
+    for name, module in list(sys.modules.items()):
+        if name == "cfk" or name.startswith("cfk."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    caches[id(value)] = value
+    for cache in caches.values():
+        cache.cache_clear()
+    return sorted(caches.values(), key=lambda f: f.__qualname__)
+
+
+@pytest.fixture
+def cold_caches():
+    """Start the test with every cfk cache empty; call the value to empty them again."""
+    _clear_cfk_caches()
+    return _clear_cfk_caches

@@ -1,5 +1,5 @@
 """Independent oracles: exhaustive enumeration, sympy algebra, a linear-scan
-elimination and cutoff walks.
+elimination, cutoff walks and json's own writer for the canonical text.
 
 The enumeration, sympy and linear-scan oracles avoid the package's
 elimination code paths, so the fast implementations are checked against
@@ -21,6 +21,7 @@ below, not from the package's cable formula.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -120,6 +121,28 @@ def _exponents_of(poly, shift: int) -> tuple[int, ...]:
             assert c in (1, -1), f"coefficient {c} breaks the alternating form"
             out.append(deg - k + shift)
     return tuple(out)
+
+
+# -- the canonical text, as json writes it ---------------------------------------
+
+
+def to_dict(complex) -> dict:
+    """A complex as json's object model, keys in canonical order."""
+    gens = []
+    for g in complex.generators:
+        d = {"id": g.id, "alexander": g.alexander}
+        if g.maslov is not None:
+            d["maslov"] = g.maslov
+        gens.append(d)
+    entries = [
+        {"from": e.src, "to": e.dst, "upower": e.upower} for e in complex.differential
+    ]
+    return {"name": complex.name, "generators": gens, "differential": entries}
+
+
+def json_text(complex) -> str:
+    """The reference for serialize: json.dumps of to_dict, two-space indent."""
+    return json.dumps(to_dict(complex), ensure_ascii=False, indent=2) + "\n"
 
 
 # -- linear-scan elimination: every basis vector visited in insertion order -----

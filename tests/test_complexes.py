@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cfk.complexes import (
     CfkComplex,
@@ -24,6 +25,8 @@ from cfk.builders import box, conway_model, unknot
 from cfk.cli import main
 from cfk.homology import column
 from cfk.invariants import invariants
+
+from oracles import json_text
 
 
 def test_unknot_validates(the_unknot):
@@ -315,6 +318,42 @@ def test_round_trip_is_canonical(trefoil, t45, cable_t23_25):
         assert parse(text) == c
 
 
+# text that json must escape, a line separator JSON leaves raw, a non-BMP
+# character and the tensor product's own separator
+_AWKWARD = '"\\\x00\x07\x1f\x7f\u2028⊗é𝄞'
+_texts = st.text(st.sampled_from(_AWKWARD) | st.characters(blacklist_categories=("Cs",)), max_size=6)
+_huge = st.integers(2**64, 2**80)
+_ints = st.integers(-3, 3) | _huge | _huge.map(lambda k: -k)
+_upowers = st.integers(0, 3) | _huge
+
+
+@st.composite
+def _complexes(draw):
+    ids = draw(st.lists(_texts, unique=True, max_size=5))
+    graded = draw(st.booleans())
+    gens = tuple(Generator(g, draw(_ints), draw(_ints) if graded else None) for g in ids)
+    entries = ()
+    if ids:
+        ends = st.sampled_from(ids)
+        entries = draw(st.lists(st.builds(DiffEntry, ends, ends, _upowers), unique=True, max_size=6))
+    return CfkComplex(draw(_texts), gens, tuple(entries))
+
+
+@given(_complexes())
+@example(CfkComplex("", (), ()))
+def test_serialize_writes_json_text(c):
+    text = serialize(c)
+    assert text == json_text(c)
+    back = parse(text)
+    assert back == c and back.name == c.name
+
+
+def test_records_are_immutable():
+    for record, name in ((Generator("a", 0, 1), "alexander"), (DiffEntry("a", "b", 0), "upower")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 2)
+
+
 def test_parse_duplicate_id_names_it():
     text = """{"name": "dup", "generators": [
         {"id": "a", "alexander": 0}, {"id": "a", "alexander": 1}],
@@ -436,11 +475,10 @@ def test_round_trip_keeps_equality_and_hash(trefoil, t45):
         assert hash(back) == hash(c)
 
 
-def test_name_is_a_label_not_part_of_equality(trefoil):
+def test_name_is_a_label_not_part_of_equality(trefoil, cold_caches):
     renamed = replace(trefoil, name="x")
     assert renamed == trefoil and hash(renamed) == hash(trefoil)
     # so the caches keyed on a complex share one entry across names
-    column.cache_clear()
     assert column(trefoil) is column(renamed)
     info = column.cache_info()
     assert (info.misses, info.hits) == (1, 1)

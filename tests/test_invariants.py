@@ -11,12 +11,13 @@ from cfk.builders import (
     torus_knot_exponents,
 )
 from cfk.complexes import mirror, parse, tensor, validate
-from cfk import gf2
+from cfk import gf2, invariants as invariants_module
 from cfk.invariants import (
     SearchExhausted,
     _a1,
+    _by_i,
     _by_steps,
-    _death_at,
+    _death,
     a1_algebraic,
     a1_surgery,
     connect_sum_prediction,
@@ -198,11 +199,11 @@ def test_a1_thin_models():
 # -- the i-filtration coincidence ----------------------------------------------
 
 
-def test_i_filtration_reads_gradings_only():
+def test_i_filtration_reads_gradings_only(cold_caches):
     # the suite property levels each generator's hook point, read off its
     # grading, with the surgery route's _by_steps(2g + 1): no realization
     ctx = SuiteContext(0)
-    realize.cache_clear()
+    cold_caches()
     cases, failures = prop_i_filtration(ctx)
     assert failures == []
     assert cases == sum(2 * c.genus_bound + 1 for c in ctx.library.values())
@@ -291,44 +292,70 @@ def test_step_reader_matches_the_walk_at_every_n():
     for c in dict.fromkeys(pool):
         a1 = a1_algebraic(c)
         for n in range(1, 2 * c.genus_bound + 1):
-            assert _a1(c, _by_steps(n)) == a1_surgery_by_walk(c, n), (c.name, n)
+            assert _a1(c, _by_steps(n), epsilon(c)) == a1_surgery_by_walk(c, n), (c.name, n)
             truncated += abs(a1) > n
     assert truncated > 0
 
 
-def test_cost_does_not_grow_with_genus():
+def test_cost_does_not_grow_with_genus(cold_caches):
     # the box sits far out, so the genus bound is about k, but tau = 1
     misses = []
     for k in (10, 10**6):
         c = thin_model(1, boxes=1, box_offset=k)
-        for cached in (realize, column, _death_at):
-            cached.cache_clear()
+        cold_caches()
         rep = invariants(c)
         misses.append(realize.cache_info().misses)
         assert (rep.tau, rep.epsilon, rep.a1) == (1, 1, 1)
     assert misses[0] == misses[1]
 
 
-def test_report_cost_and_route_sharing(library, monkeypatch):
+def test_cfk_has_three_caches(cold_caches):
+    assert [f.__name__ for f in cold_caches()] == ["_death", "column", "realize"]
+
+
+def test_report_cost_and_route_sharing(library, monkeypatch, cold_caches):
     # four eliminations per cold report: the column, its dual, the lhook and
-    # the dual hook; the surgery route then reads the algebraic entries
+    # the dual hook; the surgery route's miss reads the algebraic entry
     calls = []
     kernel = gf2.image_and_kernel
     monkeypatch.setattr(gf2, "image_and_kernel", lambda cols: calls.append(1) or kernel(cols))
     c = library["T(2,9)"]
-    for cached in (realize, column, _death_at):
-        cached.cache_clear()
+    n = 2 * c.genus_bound + 1
     invariants(c)
     assert len(calls) == 4
-    after_report = _death_at.cache_info()
-    assert after_report.misses == 2
-    a1_surgery(c, 2 * c.genus_bound + 1)
-    info = _death_at.cache_info()
-    # epsilon's two reads plus the surgery read, all served by the cache
-    assert (info.hits, info.misses) == (after_report.hits + 3, 2)
+    after_report = _death.cache_info()
+    # the lhook and hook by i, the lhook by steps (itself a read of the lhook by i)
+    assert (after_report.hits, after_report.misses) == (1, 3)
+    assert _death(c, "lhook", _by_steps(n)) is _death(c, "lhook", _by_i)
+    calls.clear()
+    assert a1_surgery(c, n) == 1
+    assert calls == []
+    info = _death.cache_info()
+    # the two lookups above, epsilon's two reads and the surgery read
+    assert (info.hits, info.misses) == (after_report.hits + 5, 3)
 
 
-def test_validate_and_report_share_one_column(library, monkeypatch):
+def test_warm_reads_level_no_point(library, monkeypatch):
+    # a warm read is one cache lookup per death: no route is evaluated
+    def refuse(*args):
+        raise AssertionError("a level was evaluated")
+
+    pool = [library["T(2,9)"], library["-T(2,3;2,5)"], library["4_1"]]
+    want = [invariants(c) for c in pool]
+    monkeypatch.setattr(invariants_module, "meridian_filtration", refuse)
+    monkeypatch.setattr(_by_i, "__code__", refuse.__code__)
+    monkeypatch.setattr(_by_steps, "__call__", refuse)
+    for c, rep in zip(pool, want):
+        n = 2 * c.genus_bound + 1
+        assert (epsilon(c), a1_algebraic(c), a1_surgery(c, n)) == (rep.epsilon, rep.a1, rep.a1)
+
+
+def test_step_routes_are_values():
+    assert _by_steps(5) == _by_steps(5) and hash(_by_steps(5)) == hash(_by_steps(5))
+    assert _by_steps(5) != _by_steps(6)
+
+
+def test_validate_and_report_share_one_column(library, monkeypatch, cold_caches):
     # validate's rank check reads the column the report reads, so a cold
     # validate then report builds four bases: the column, its dual, the
     # lhook and the dual hook
@@ -341,8 +368,6 @@ def test_validate_and_report_share_one_column(library, monkeypatch):
 
     monkeypatch.setattr(gf2, "XorBasis", CountingBasis)
     c = library["T(2,9)"]
-    for cached in (realize, column, _death_at):
-        cached.cache_clear()
     assert validate(c).ok
     invariants(c)
     assert len(built) == 4
