@@ -1,9 +1,9 @@
 """Model complexes: staircases, boxes, thin and Conway models, random models.
 
 Staircases realize complexes of L-space knots from the alternating exponents
-of their Alexander polynomials; torus-knot exponents are read off the
-semigroup <p, q>, cable exponents by exact polynomial arithmetic.  The
-random generator composes these shapes, so every model it emits is valid
+of their Alexander polynomials, which one reader takes off a set: the
+semigroup <p, q> for torus knots, one built from the base's for cables.
+The random generator composes these shapes, so every model it emits is valid
 by construction.
 """
 
@@ -132,49 +132,22 @@ def conway_model(boxes: int = 3) -> CfkComplex:
     return replace(out, name="conway")
 
 
-# -- Alexander polynomial arithmetic ---------------------------------------
-# Dense integer coefficient lists, ascending degree; a Laurent polynomial is
-# a (coeffs, lowest_exponent) pair.
+def _read_jumps(member: list[bool], genus: int) -> AlexanderExponents:
+    """Exponents of (1 - t) times the sum of t^m over a set S, shifted by -g.
 
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _laurent_from_exponents(exponents: tuple[int, ...]) -> tuple[list[int], int]:
-    lo = min(exponents)
-    coeffs = [0] * (max(exponents) - lo + 1)
-    for k, e in enumerate(exponents):
-        coeffs[e - lo] += -1 if k % 2 else 1
-    return coeffs, lo
-
-
-def _alternating_exponents(coeffs: list[int], lo: int) -> tuple[int, ...]:
-    """Exponents of an alternating plus/minus-one polynomial, descending.
-
-    Raises when any coefficient falls outside {-1, 0, 1} or the signs fail
-    to alternate starting from +1 at the top degree.
+    member[m] says whether m, in [0, 2g], lies in S; S holds every m past 2g.
+    m gives an exponent exactly when m and m - 1 differ in membership, and
+    the signs alternate by themselves.
     """
-    terms = [(k + lo, c) for k, c in enumerate(coeffs) if c]
-    terms.reverse()
-    for pos, (_, c) in enumerate(terms):
-        if c != (1 if pos % 2 == 0 else -1):
-            raise CfkError("polynomial is not of alternating sign form")
-    return tuple(e for e, _ in terms)
+    jumps = [m for m in range(2 * genus, -1, -1) if member[m] != (m > 0 and member[m - 1])]
+    return AlexanderExponents(tuple(m - genus for m in jumps))
 
 
 def torus_knot_exponents(p: int, q: int) -> AlexanderExponents:
     """Alexander exponents of the (p, q) torus knot from the semigroup <p, q>.
 
-    The polynomial is (1 - t) times the sum of t^s over the semigroup S
-    generated by p and q, truncated at the conductor 2g, and shifted by -g.
-    So m in [0, 2g] gives an exponent exactly when m and m - 1 differ in
-    membership of S, and the signs alternate by themselves.
+    The polynomial, shifted by g, is (1 - t) times the sum of t^s over the
+    semigroup S generated by p and q, whose conductor is 2g.
 
     >>> torus_knot_exponents(2, 3).exponents
     (1, 0, -1)
@@ -189,26 +162,35 @@ def torus_knot_exponents(p: int, q: int) -> AlexanderExponents:
     member = [True]  # member[m]: m lies in S
     for m in range(1, 2 * genus + 1):
         member.append((m >= p and member[m - p]) or (m >= q and member[m - q]))
-    jumps = [m for m in range(2 * genus, -1, -1) if member[m] != (m > 0 and member[m - 1])]
-    return AlexanderExponents(tuple(m - genus for m in jumps))
+    return _read_jumps(member, genus)
 
 
 def cable_exponents(base: AlexanderExponents, p: int, q: int) -> AlexanderExponents:
     """Exponents of the (p, q) cable: base polynomial at t^p times the torus factor.
 
-    Refuses results that are not of alternating sign form, since only those
-    give staircase complexes.
+    Shifted by its genus, the base is (1 - t) times the sum of t^b over a
+    set S_K (b is in S_K when an odd number of shifted exponents are <= b),
+    so at t^p it is (1 - t^p) times the sum of t^pb.  The torus factor is
+    (1 - t)(1 - t^pq) / ((1 - t^p)(1 - t^q)), and (1 - t^pq) / (1 - t^q) sums
+    t^jq over 0 <= j < p.  So the product is (1 - t) times the sum of
+    t^(jq + pb) over j and b in S_K.  As gcd(p, q) = 1, jq + pb fixes j (its
+    residue mod p) and so b: the exponents form a set S, and the product
+    alternates.  Every cable of a staircase polynomial is one.
 
     >>> cable_exponents(torus_knot_exponents(2, 3), 2, 5).exponents
     (4, 3, 0, -3, -4)
     """
-    base_coeffs, base_lo = _laurent_from_exponents(base.exponents)
-    scaled = [0] * ((len(base_coeffs) - 1) * p + 1)
-    for k, c in enumerate(base_coeffs):
-        scaled[k * p] = c
-    torus_coeffs, torus_lo = _laurent_from_exponents(torus_knot_exponents(p, q).exponents)
-    product = _poly_mul(scaled, torus_coeffs)
-    return AlexanderExponents(_alternating_exponents(product, base_lo * p + torus_lo))
+    torus_knot_exponents(p, q)  # refuses parameters that are not positive coprime
+    g = base.exponents[0]
+    genus = p * g + (p - 1) * (q - 1) // 2
+    flips = {e + g for e in base.exponents}  # where b enters or leaves S_K
+    member = [False] * (2 * genus + 1)
+    for j in range(p):
+        inside = False
+        for b, s in enumerate(range(j * q, 2 * genus + 1, p)):
+            inside ^= b in flips
+            member[s] = inside
+    return _read_jumps(member, genus)
 
 
 # -- Random models -----------------------------------------------------------

@@ -111,7 +111,7 @@ def cmd_a1(args) -> int:
     if args.method == "algebraic":
         a1 = a1_algebraic(c)
     elif args.method == "surgery":
-        a1 = a1_surgery(c, args.n if args.n is not None else 2 * c.genus_bound + 1)
+        a1 = a1_surgery(c, args.n)
     else:
         # the report compares the two routes
         a1 = invariants(c, n=args.n).a1

@@ -59,14 +59,6 @@ class XorBasis:
         return len(self.by_pivot)
 
 
-def rank(vectors: list[int]) -> int:
-    """Rank of the span of the given vectors."""
-    basis = XorBasis()
-    for v in vectors:
-        basis.insert(v)
-    return basis.rank
-
-
 def image_and_kernel(cols: list[int]) -> tuple[XorBasis, list[int]]:
     """Reduced column space basis and kernel basis of a matrix given by columns.
 

@@ -17,7 +17,9 @@ level: the column by j for tau, the lhook by level for positive a1.  The
 hook families are quotients, whose duals are subcomplexes, so negative a1
 reduces the dual (cochain) complex and tracks cocycles.  epsilon asks
 whether the maps die at all, so it reads which of the two algebraic
-reductions finds a level, and a1_algebraic reads that level.
+reductions finds a level.  Both routes read a1 through one signed
+reader, _a1, which is given epsilon's sign and reads the level at which
+the map of that sign dies.
 
 Caches are keyed on the knot complex plus small values, never on a chain
 complex, and cfk has three: realize on (complex, region), homology.column
@@ -27,7 +29,7 @@ one cache lookup and never re-levels a region.  On a miss, a route whose
 levels equal the i-levels reads the _by_i entry, so the surgery route
 shares the algebraic route's reductions wherever the two agree.  tau,
 epsilon and a1 are plain reads of those entries, and a report reads the
-two algebraic deaths once for epsilon, a1 and the hook dimensions.
+two algebraic deaths once, for epsilon and the hook dimensions.
 """
 
 from __future__ import annotations
@@ -171,31 +173,23 @@ def tau(complex: CfkComplex) -> int:
     return by_j.filtration[h.representatives[0].bit_length() - 1]
 
 
-def _algebraic(complex: CfkComplex) -> tuple[_Death, _Death]:
-    """The algebraic route's deaths on the lhook and on the hook."""
-    return _death(complex, "lhook", _by_i), _death(complex, "hook", _by_i)
-
-
-def _epsilon_and_a1(lhook: _Death, hook: _Death) -> tuple[int, int]:
-    """epsilon and a1 from the algebraic route's deaths.
+def _algebraic(complex: CfkComplex) -> tuple[int, _Death, _Death]:
+    """epsilon and the algebraic route's deaths on the lhook and on the hook.
 
     epsilon is the sign of the one hook map that dies on homology, +1 for
     the column-to-lhook map and -1 for the hook-to-column map, and 0 when
-    neither dies; a1 is that sign times the level at which the map dies.
+    neither dies.
     """
-    f, g = lhook.level, hook.level
-    if f is not None and g is not None:
+    lhook, hook = _death(complex, "lhook", _by_i), _death(complex, "hook", _by_i)
+    if lhook.level is not None and hook.level is not None:
         raise InvariantViolation("both hook maps vanish on homology")
-    if f is not None:
-        return 1, f
-    if g is not None:
-        return -1, -g
-    return 0, 0
+    eps = 1 if lhook.level is not None else -1 if hook.level is not None else 0
+    return eps, lhook, hook
 
 
 def epsilon(complex: CfkComplex) -> int:
     """Sign invariant from which of the two hook maps dies on homology."""
-    return _epsilon_and_a1(*_algebraic(complex))[0]
+    return _algebraic(complex)[0]
 
 
 def _a1(complex: CfkComplex, route: Level, eps: int) -> int:
@@ -218,26 +212,28 @@ def _a1(complex: CfkComplex, route: Level, eps: int) -> int:
 
 def a1_algebraic(complex: CfkComplex) -> int:
     """Refinement of epsilon: where the hook map of its sign dies, by i."""
-    return _epsilon_and_a1(*_algebraic(complex))[1]
+    return _a1(complex, _by_i, epsilon(complex))
 
 
-def _surgery_route(complex: CfkComplex, n: int) -> _by_steps:
-    """The step route at n, which computes a1 only for n above 2g."""
+def _surgery_route(complex: CfkComplex, n: int | None = None) -> _by_steps:
+    """The step route at n, 2g + 1 by default; it computes a1 only for n above 2g."""
     g = complex.genus_bound
+    if n is None:
+        n = 2 * g + 1
     if n <= 2 * g:
         raise ParameterError(f"need n > {2 * g} (twice the genus bound), got {n}")
     return _by_steps(n)
 
 
-def a1_surgery(complex: CfkComplex, n: int) -> int:
+def a1_surgery(complex: CfkComplex, n: int | None = None) -> int:
     """a1 read off the meridian-cable step filtration on the surgery models.
 
     Requires n above twice the genus bound, the regime where step levels
     agree with the i-coordinate on occupied points and the surgery route
-    computes a1.  The reader itself, _a1 with _by_steps(n), is defined for
-    every n >= 1; below 2g + 1 the step levels saturate on the arm, so the
-    value can differ from a1, and the tests compare it with the oracle's
-    walk.
+    computes a1; n defaults to 2g + 1.  The reader itself, _a1 with
+    _by_steps(n), is defined for every n >= 1; below 2g + 1 the step levels
+    saturate on the arm, so the value can differ from a1, and the tests
+    compare it with the oracle's walk.
     """
     return _a1(complex, _surgery_route(complex, n), epsilon(complex))
 
@@ -275,13 +271,10 @@ def invariants(complex: CfkComplex, n: int | None = None) -> InvariantReport:
     that passed validate, as the CLI ensures.  An invalid complex may raise
     or may get a report that means nothing.
     """
-    g = complex.genus_bound
-    if n is None:
-        n = 2 * g + 1
     t = tau(complex)
-    lhook, hook = _algebraic(complex)
-    eps, a1 = _epsilon_and_a1(lhook, hook)
-    a1s = _a1(complex, _surgery_route(complex, n), eps)
+    eps, lhook, hook = _algebraic(complex)
+    route = _surgery_route(complex, n)
+    a1, a1s = _a1(complex, _by_i, eps), _a1(complex, route, eps)
     if a1 != a1s:
         raise InvariantViolation(
             f"a1 routes disagree on {complex.name}: algebraic {a1}, surgery {a1s}"
@@ -299,8 +292,8 @@ def invariants(complex: CfkComplex, n: int | None = None) -> InvariantReport:
         epsilon=eps,
         a1=a1,
         a1_surgery=a1s,
-        surgery_n=n,
-        genus_bound=g,
+        surgery_n=route.n,
+        genus_bound=complex.genus_bound,
         homology_dims=dims,
     )
 

@@ -113,12 +113,14 @@ def sympy_cable_exponents(base: tuple[int, ...], p: int, q: int) -> tuple[int, .
 
 
 def _exponents_of(poly, shift: int) -> tuple[int, ...]:
+    """Exponents of a polynomial whose nonzero coefficients alternate +1, -1, ..."""
     out = []
     coeffs = poly.all_coeffs()  # descending
     deg = len(coeffs) - 1
     for k, c in enumerate(coeffs):
         if c:
-            assert c in (1, -1), f"coefficient {c} breaks the alternating form"
+            want = -1 if len(out) % 2 else 1
+            assert c == want, f"coefficient {c} of t^{deg - k} breaks the alternating form"
             out.append(deg - k + shift)
     return tuple(out)
 

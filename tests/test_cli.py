@@ -169,6 +169,7 @@ def test_missing_file(capsys):
     ("a1", "--knot", "T(2,3)", "--n", "2"),
     ("filtration", "--knot", "T(2,3)", "--m", "0", "--n", "0"),
     ("staircase", "--torus", "2,4"),
+    ("staircase", "--cable", "2,3;-1,5"),
 ])
 def test_parameter_errors_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -1,10 +1,12 @@
-"""Mutated library JSON through the CLI: every run ends in exit 0, 1 or 2.
+"""Mutated library JSON and drawn parameters through the CLI: every run ends
+in exit 0, 1 or 2.
 
 A mutation shifts or overwrites a grading or U power (with integers or
 values of the wrong type), drops or duplicates a generator or an entry,
 removes a field, adds an entry between two generators, or replaces a whole
 list.  Each mutated file goes through validate, invariants, a1, realize and
 filtration; anything but a clean exit (a traceback, a bare exception) fails.
+The cable staircase builder gets four drawn integers in [-3, 12].
 """
 
 import contextlib
@@ -121,3 +123,10 @@ def test_mutated_json_exits_cleanly(base, mutations, commands):
         for argv in commands:
             code = run(argv + ["--file", path])
             assert code in (0, 1, 2), (argv, data)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(params=st.lists(st.integers(-3, 12), min_size=4, max_size=4))
+def test_cable_staircase_exits_cleanly(params):
+    p, q, r, s = params
+    assert run(["staircase", "--cable", f"{p},{q};{r},{s}"]) in (0, 1, 2)

@@ -16,12 +16,13 @@ from oracles import (
 
 
 def test_rank_identity():
-    assert gf2.rank([0b001, 0b010, 0b100]) == 3
+    assert gf2.image_and_kernel([0b001, 0b010, 0b100])[0].rank == 3
 
 
 def test_rank_dependent_rows():
-    assert gf2.rank([0b011, 0b101, 0b110]) == 2
-    assert gf2.rank([0, 0]) == 0
+    assert gf2.image_and_kernel([0b011, 0b101, 0b110])[0].rank == 2
+    assert gf2.image_and_kernel([0, 0])[0].rank == 0
+    assert gf2.XorBasis().rank == 0
 
 
 def test_image_and_kernel_counts():
@@ -33,10 +34,10 @@ def test_image_and_kernel_counts():
 
 def test_kernel_members_map_to_zero():
     cols = [0b110, 0b011, 0b101, 0b000]
-    _, kernel = gf2.image_and_kernel(cols)
+    basis, kernel = gf2.image_and_kernel(cols)
     for combo in kernel:
         assert gf2.apply_columns(cols, combo) == 0
-    assert gf2.rank(cols) + len(kernel) == len(cols)
+    assert basis.rank + len(kernel) == len(cols)
 
 
 def tagged_basis(vectors: list[int]) -> gf2.XorBasis:

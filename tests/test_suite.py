@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+
 import pytest
 
 from cfk import gf2, suite
+from cfk.homology import HomologyResult, column
 from cfk.invariants import tau
 from cfk.suite import (
     PROPERTIES,
     SuiteContext,
+    prop_euler_characteristic,
     prop_slice_dim_one,
     prop_tensor_commutes,
     prop_validate,
@@ -61,3 +65,17 @@ def test_tensor_associativity_compares_two_complexes(monkeypatch):
     left, right = seen[-2:]
     assert left != right
     assert len(left.generators) == len(right.generators)
+
+
+def test_euler_property_reads_the_representatives_parity(monkeypatch, trefoil):
+    # T(2,3)'s column holds b0 (Maslov 0) and the edge b1 -> b2 (Maslov -1,
+    # -2): chi = 1 and the one representative sits at the even b0.  A column
+    # whose representative's top point is the odd b1 must be reported.
+    ctx = SimpleNamespace(pool=[trefoil])
+    assert prop_euler_characteristic(ctx) == (1, [])
+    x, _ = column(trefoil)
+    odd = [p.gen for p in x.points].index("b1")
+    monkeypatch.setattr(suite, "column", lambda c: (x, HomologyResult(1, (1 << odd,))))
+    cases, failures = prop_euler_characteristic(ctx)
+    assert cases == 1 and len(failures) == 1
+    assert "euler characteristic mismatch" in failures[0]
