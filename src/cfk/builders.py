@@ -143,6 +143,13 @@ def _read_jumps(member: list[bool], genus: int) -> AlexanderExponents:
     return AlexanderExponents(tuple(m - genus for m in jumps))
 
 
+def _check_coprime(p: int, q: int) -> None:
+    if p < 1 or q < 1:
+        raise ParameterError(f"need positive parameters, got ({p}, {q})")
+    if gcd(p, q) != 1:
+        raise ParameterError(f"parameters ({p}, {q}) are not coprime")
+
+
 def torus_knot_exponents(p: int, q: int) -> AlexanderExponents:
     """Alexander exponents of the (p, q) torus knot from the semigroup <p, q>.
 
@@ -154,10 +161,7 @@ def torus_knot_exponents(p: int, q: int) -> AlexanderExponents:
     >>> torus_knot_exponents(4, 5).exponents
     (6, 5, 2, 0, -2, -5, -6)
     """
-    if p < 1 or q < 1:
-        raise ParameterError(f"need positive parameters, got ({p}, {q})")
-    if gcd(p, q) != 1:
-        raise ParameterError(f"parameters ({p}, {q}) are not coprime")
+    _check_coprime(p, q)
     genus = (p - 1) * (q - 1) // 2
     member = [True]  # member[m]: m lies in S
     for m in range(1, 2 * genus + 1):
@@ -180,7 +184,7 @@ def cable_exponents(base: AlexanderExponents, p: int, q: int) -> AlexanderExpone
     >>> cable_exponents(torus_knot_exponents(2, 3), 2, 5).exponents
     (4, 3, 0, -3, -4)
     """
-    torus_knot_exponents(p, q)  # refuses parameters that are not positive coprime
+    _check_coprime(p, q)
     g = base.exponents[0]
     genus = p * g + (p - 1) * (q - 1) // 2
     flips = {e + g for e in base.exponents}  # where b enters or leaves S_K

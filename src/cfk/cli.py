@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 
 from .builders import (
@@ -183,18 +185,11 @@ def cmd_realize(args) -> int:
     x = realize(c, region)
     print(f"region {region.describe()}: {x.dim} basis points")
     for k, p in enumerate(x.points):
-        targets = [x.points[t.bit_length() - 1] for t in _bits(x.boundary[k])]
+        targets = [x.points[t] for t in range(x.dim) if x.boundary[k] >> t & 1]
         arrow = " -> " + " + ".join(f"[{t.gen},{t.i},{t.j}]" for t in targets) if targets else ""
         print(f"  [{p.gen},{p.i},{p.j}]{arrow}")
     print(f"homology dimension {homology(x).dimension}")
     return 0
-
-
-def _bits(v: int):
-    while v:
-        low = v & -v
-        yield low
-        v ^= low
 
 
 def _seed_count(text: str) -> int:
@@ -275,11 +270,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # a staircase value with a leading minus sign ("-1,3") would read as an
+    # option; joined to its option, it reaches the parameter check instead
+    for k in range(len(argv) - 1, 0, -1):
+        option, value = argv[k - 1 : k + 1]
+        if option in ("--exponents", "--torus", "--cable") and re.match(r"-\d", value):
+            argv[k - 1 : k + 1] = [f"{option}={value}"]
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows up here at the latest
+        return code
     except CfkError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # as Python's signal docs advise, so that the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -104,15 +104,18 @@ class CfkComplex:
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @cached_property
-    def by_id(self) -> dict[str, Generator]:
-        return {g.id: g for g in self.generators}
+    def gradings(self) -> tuple[int, ...]:
+        """The Alexander grading of each generator, by index."""
+        return tuple(g.alexander for g in self.generators)
 
     @cached_property
-    def entries_from(self) -> dict[str, tuple[DiffEntry, ...]]:
-        out: dict[str, list[DiffEntry]] = {g.id: [] for g in self.generators}
+    def arrows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The entries out of each generator, by index, as (dst index, upower)."""
+        index = {g.id: k for k, g in enumerate(self.generators)}
+        out: list[list[tuple[int, int]]] = [[] for _ in self.generators]
         for e in self.differential:
-            out[e.src].append(e)
-        return {k: tuple(v) for k, v in out.items()}
+            out[index[e.src]].append((index[e.dst], e.upower))
+        return tuple(map(tuple, out))
 
     @property
     def maslov_present(self) -> bool:
@@ -154,6 +157,12 @@ class ValidationReport:
         self.errors.extend(problems)
 
 
+def _named(gens, terms: list[tuple[int, int, int]]) -> list[tuple[str, str, int, tuple]]:
+    """(src id, dst id, upower, (src, dst)) per term that breaks a rule, in
+    the differential's order: ids are looked up for these terms only."""
+    return sorted((gens[s].id, gens[d].id, u, (s, d)) for s, d, u in terms)
+
+
 def validate(complex: CfkComplex) -> ValidationReport:
     """Check the algebraic axioms of a complex and report per-axiom results.
 
@@ -162,39 +171,35 @@ def validate(complex: CfkComplex) -> ValidationReport:
     reported as a warning only: subquotient machinery does not rely on it.
     """
     rep = ValidationReport()
-    by_id = complex.by_id
-    alex_bad = []
-    for e in complex.differential:
-        if by_id[e.dst].alexander > by_id[e.src].alexander + e.upower:
-            alex_bad.append(
-                f"entry {e.src}->{e.dst} U^{e.upower}: alexander grading rises"
-            )
-    rep._record("alexander-rule", alex_bad)
+    gens, alex, arrows = complex.generators, complex.gradings, complex.arrows
+    entries = [(s, d, u) for s, out in enumerate(arrows) for d, u in out]
+    rises = [(s, d, u) for s, d, u in entries if alex[d] > alex[s] + u]
+    rep._record("alexander-rule", [
+        f"entry {s}->{d} U^{u}: alexander grading rises" for s, d, u, _ in _named(gens, rises)
+    ])
 
     if complex.maslov_present:
-        maslov_bad = []
-        for e in complex.differential:
-            want = by_id[e.src].maslov - 1 + 2 * e.upower
-            if by_id[e.dst].maslov != want:
-                maslov_bad.append(
-                    f"entry {e.src}->{e.dst} U^{e.upower}: maslov {by_id[e.dst].maslov}"
-                    f" != {want}"
-                )
-        rep._record("maslov-rule", maslov_bad)
+        m = [g.maslov for g in gens]
+        bad = [(s, d, u) for s, d, u in entries if m[d] != m[s] - 1 + 2 * u]
+        rep._record("maslov-rule", [
+            f"entry {s}->{d} U^{u}: maslov {m[k[1]]} != {m[k[0]] - 1 + 2 * u}"
+            for s, d, u, k in _named(gens, bad)
+        ])
 
-    # d^2 = 0 as U-monomials: every composite term must occur an even number
-    # of times.  This is the symbolic check, independent of any lattice
-    # realization.
-    parity: dict[tuple[str, str, int], int] = {}
-    from_map = complex.entries_from
-    for e1 in complex.differential:
-        for e2 in from_map[e1.dst]:
-            key = (e1.src, e2.dst, e1.upower + e2.upower)
-            parity[key] = parity.get(key, 0) ^ 1
-    rep._record(
-        "d-squared",
-        [f"d^2 term {s}->{t} U^{u} survives" for (s, t, u), p in sorted(parity.items()) if p],
-    )
+    # d^2 = 0 as U-monomials: every composite term occurs an even number of
+    # times, so each (source, U power)'s XOR bitset of targets ends at zero.
+    # This is the symbolic check, independent of any lattice realization.
+    survivors = []
+    for s, out in enumerate(arrows):
+        parity: dict[int, int] = {}
+        for d, u in out:
+            for t, v in arrows[d]:
+                parity[u + v] = parity.get(u + v, 0) ^ 1 << t
+        survivors += [(s, t, u) for u, bits in parity.items() if bits
+                      for t in range(bits.bit_length()) if bits >> t & 1]
+    rep._record("d-squared", [
+        f"d^2 term {s}->{t} U^{u} survives" for s, t, u, _ in _named(gens, survivors)
+    ])
 
     if rep.checks["alexander-rule"] and rep.checks["d-squared"]:
         from .homology import column

@@ -1,38 +1,43 @@
-"""Region realizations, level sorting and mod-2 homology.
+"""Region realizations, leveled in one pass, and mod-2 homology.
 
 Realizing a region turns a bifiltered complex into a plain finite chain
-complex over the two-element field.  A region is a subquotient, so its
-d^2 = 0 follows from the complex's, which validate checks; nothing here
-re-checks it.  Sorting by a level checks that no boundary raises the
-level.  Chains are int bitsets over the basis (see gf2); homology
-representatives are read off the pivots of one deterministic reduction in
-basis order, so fixtures stay stable.  There are no chain maps here: the maps between regions that the
-invariants need send each lattice point to itself, and the death reader
-in invariants applies them as plain column lists.
+complex over the two-element field, in one pass over the complex's int
+arrays that also orders the basis by a level when given one.  A region is
+a subquotient, so its d^2 = 0 follows from the complex's, which validate
+checks; nothing here re-checks it.  Chains are int bitsets over the basis
+(see gf2); homology representatives are read off the pivots of one
+deterministic reduction in basis order, so fixtures stay stable.  There
+are no chain maps here: the maps between regions that the invariants need
+send each lattice point to itself, and the death reader in invariants
+applies them as plain column lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from . import gf2
 from .complexes import CfkComplex
 from .regions import LatticePoint, Region, RegionError
+
+# level(shape, t, i, j): the level of the point (i, j) of the region at t
+Level = Callable[[str, int, int, int], int]
 
 
 @dataclass(frozen=True)
 class F2Complex:
     """Chain complex over the two-element field with a fixed ordered basis.
 
-    ``boundary`` holds one column bitmask per basis point.  ``filtration``
-    optionally assigns an integer level to each basis point; only
-    sorted_by_level sets it, after checking that no boundary raises it.
+    ``boundary`` holds one column bitmask per basis point.  realize sets
+    ``index`` (generator indices) and, given a level, ``filtration``.
     """
 
     points: tuple[LatticePoint, ...]
     boundary: tuple[int, ...]
     filtration: tuple[int, ...] | None = None
+    index: tuple[int, ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -40,31 +45,38 @@ class F2Complex:
 
 
 @lru_cache(maxsize=4096)
-def realize(complex: CfkComplex, region: Region) -> F2Complex:
+def realize(complex: CfkComplex, region: Region, level: Level | None = None) -> F2Complex:
     """Subquotient complex spanned by the region's occupied lattice points.
 
     A differential entry d(x) = U^k y connects [x, i, j] to [y, i-k, i-k+A(y)];
-    the induced boundary keeps exactly the pairs with both endpoints inside
-    the region.  A region meets each diagonal j - i = A(y) at most once, so
-    the entry stays inside exactly when y's point in it has i = i(x) - k.
-    Results are cached; everything involved is immutable.
+    the region meets each diagonal j - i = A(y) at most once, so the entry
+    stays inside exactly when y's point in it has i = i(x) - k.  Points and
+    levels are evaluated once per grading.  Given a level, the basis is in
+    ascending level (ties, like the unleveled basis, in generator order) and
+    RegionError is raised when a boundary raises the level, so each
+    sublevel set is a prefix and one reduction reads every cutoff.
     """
     if not isinstance(region, Region):
         raise RegionError(f"unknown region kind: {region!r}")
-    points: list[LatticePoint] = []
-    for g in complex.generators:
-        point = region.point(g.alexander)
-        if point is not None:
-            points.append(LatticePoint(g.id, *point))
-    index = {p.gen: k for k, p in enumerate(points)}
-
-    boundary = [0] * len(points)
-    for k, p in enumerate(points):
-        for e in complex.entries_from[p.gen]:
-            t = index.get(e.dst)
-            if t is not None and points[t].i == p.i - e.upower:
-                boundary[k] ^= 1 << t
-    return F2Complex(tuple(points), tuple(boundary))
+    shape, t = region.shape, region.level
+    points_at = {a: region.point(a) for a in set(complex.gradings)}
+    at = {a: p and (*p, level(shape, t, *p) if level else 0) for a, p in points_at.items()}
+    placed = [at[a] for a in complex.gradings]  # (i, j, level) per generator, or None
+    keep = sorted((k for k, p in enumerate(placed) if p), key=lambda k: placed[k][2])
+    position = {old: new for new, old in enumerate(keep)}
+    boundary = []
+    for old in keep:
+        col, (i, _, s) = 0, placed[old]
+        for d, u in complex.arrows[old]:
+            if d in position and placed[d][0] == i - u:
+                if placed[d][2] > s:
+                    raise RegionError("boundary raises the filtration level")
+                col |= 1 << position[d]
+        boundary.append(col)
+    gens = complex.generators
+    points = tuple([LatticePoint(gens[k].id, placed[k][0], placed[k][1]) for k in keep])
+    levels = tuple(placed[k][2] for k in keep) if level else None
+    return F2Complex(points, tuple(boundary), levels, tuple(keep))
 
 
 @dataclass(frozen=True)
@@ -83,44 +95,22 @@ def homology(x: F2Complex) -> HomologyResult:
     keeps when it extends the image basis with each kernel vector in order,
     read off the one reduction that split the columns.
     Not cached: every cache in cfk is keyed on the knot complex plus small
-    values.  realize is keyed on (complex, region), column on the complex,
-    and the invariants' death reader on (complex, shape, route).
+    values: realize on (complex, region, level), column on the complex, and
+    the invariants' death reader on (complex, shape, route).
     """
     basis, kernel = gf2.image_and_kernel(list(x.boundary))
     reps = [z for z in kernel if z.bit_length() - 1 not in basis.by_pivot]
     return HomologyResult(len(reps), tuple(reps))
 
 
-def sorted_by_level(x: F2Complex, levels: tuple[int, ...]) -> F2Complex:
-    """x with its basis re-indexed in ascending level (ties in basis order).
-
-    The result carries the sorted levels.  It raises RegionError when a
-    boundary raises the level, so each sublevel set is a subcomplex and a
-    prefix of the basis: one column reduction then answers every cutoff at
-    once.  d^2 = 0 is not re-checked; a permutation keeps it.
-    """
-    order = sorted(range(x.dim), key=levels.__getitem__)
-    new_index = [0] * x.dim
-    for new, old in enumerate(order):
-        new_index[old] = new
-    cols = []
-    for old in order:
-        col, v = 0, x.boundary[old]
-        while v:
-            low = v & -v
-            t = low.bit_length() - 1
-            if levels[t] > levels[old]:
-                raise RegionError("boundary raises the filtration level")
-            col |= 1 << new_index[t]
-            v ^= low
-        cols.append(col)
-    points = tuple(x.points[k] for k in order)
-    return F2Complex(points, tuple(cols), tuple(levels[k] for k in order))
+def _by_j(shape: str, t: int, i: int, j: int) -> int:
+    """The column's level: every point sits at its j-coordinate."""
+    return j
 
 
 @lru_cache(maxsize=4096)
 def column(complex: CfkComplex) -> tuple[F2Complex, HomologyResult]:
-    """The column at i = 0, re-indexed in ascending j, and its homology.
+    """The column at i = 0, realized in ascending j, and its homology.
 
     The one reduction of the column: validate's rank check, tau, the death
     reader, the suite's Euler characteristic and the report's vertical
@@ -128,8 +118,7 @@ def column(complex: CfkComplex) -> tuple[F2Complex, HomologyResult]:
     the Alexander rule; validate reads it only once that rule and d^2 = 0
     have passed.
     """
-    x = realize(complex, Region("vertical", 0))
-    x = sorted_by_level(x, tuple(p.j for p in x.points))
+    x = realize(complex, Region("vertical", 0), _by_j)
     return x, homology(x)
 
 
@@ -145,4 +134,4 @@ def dual(x: F2Complex) -> F2Complex:
             low = col & -col
             cols[low.bit_length() - 1] |= 1 << k
             col ^= low
-    return F2Complex(x.points, tuple(cols))
+    return F2Complex(x.points, tuple(cols), index=x.index)

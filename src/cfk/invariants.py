@@ -6,10 +6,10 @@ gives i; the surgery route _by_steps(n) gives the step level that the
 (n,1)-cable of the meridian induces on the hook (the large-surgery
 model), the second coordinate of meridian_filtration and the only
 definition of a step level here, mirrored on the lhook.  One death
-reader levels the hook or lhook with a route and finds the least level
-at which the map from or to the column dies on homology; a1 is epsilon's
-sign times the level at which the map of that sign dies.  The routes'
-agreement is the theorem the test suite exercises.
+reader realizes the hook or lhook leveled by a route, in one pass, and
+finds the least level at which the map from or to the column dies on
+homology; a1 is epsilon's sign times the level at which the map of that
+sign dies.  The routes' agreement is the theorem the test suite exercises.
 
 Each cutoff family is a filtration of one complex, so every cutoff is read
 off one filtered reduction (persistence) instead of one homology per
@@ -22,12 +22,13 @@ reader, _a1, which is given epsilon's sign and reads the level at which
 the map of that sign dies.
 
 Caches are keyed on the knot complex plus small values, never on a chain
-complex, and cfk has three: realize on (complex, region), homology.column
-on the complex, and the death reader here on (complex, shape, route).  A
-route is a hashable value, _by_i or _by_steps(n), so a repeated read costs
-one cache lookup and never re-levels a region.  On a miss, a route whose
-levels equal the i-levels reads the _by_i entry, so the surgery route
-shares the algebraic route's reductions wherever the two agree.  tau,
+complex, and cfk has three: realize on (complex, region, level),
+homology.column on the complex, and the death reader here on (complex,
+shape, route).  A route is a hashable value, _by_i or _by_steps(n), so a
+repeated read costs one cache lookup and never re-levels a region.  On a
+miss, a route that gives i on every grading's point reads the _by_i
+entry, so the surgery route shares the algebraic route's reductions
+wherever the two agree.  tau,
 epsilon and a1 are plain reads of those entries, and a report reads the
 two algebraic deaths once, for epsilon and the hook dimensions.
 """
@@ -36,11 +37,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import gf2
 from .complexes import CfkComplex, CfkError, ParameterError
-from .homology import column, dual, homology, realize, sorted_by_level
+from .homology import Level, column, dual, homology, realize
 from .regions import Region
 
 
@@ -74,11 +75,6 @@ def meridian_filtration(i: int, j: int, m: int, n: int) -> BiFiltrationLevel:
     return BiFiltrationLevel(j - m, j - m - n)
 
 
-# a route: the level of the point (i, j) of the hook or lhook at tau = t.  A
-# route is also a hashable value, part of the death reader's cache key.
-Level = Callable[[str, int, int, int], int]
-
-
 def _by_i(shape: str, t: int, i: int, j: int) -> int:
     """The algebraic route: every point sits at its i-coordinate."""
     return i
@@ -110,22 +106,19 @@ class _Death(NamedTuple):
 def _death(complex: CfkComplex, shape: str, route: Level) -> _Death:
     """Where the map between the column and the hook or lhook at tau dies.
 
-    The region's points carry the route's levels, and the answer is the
-    least level s, at least 0, at which the map dies on homology.  A route
-    whose levels equal the i-levels reads the _by_i entry, so the two
-    routes share one reduction wherever they agree.  On the lhook,
-    f: column -> {level <= s} sends each column point inside the region,
-    that is each one the realized target holds, to the same lattice point
-    and the rest to 0.  One reduction of the lhook's boundary in
-    ascending level gives basis vectors whose combos have their own column
-    as top bit, so the top bit of the combo that writes f(z) as a boundary
-    is the last column needed; the level is None when some f(z) is not a
-    boundary at all.  On the hook, g: hook -> column dies at a quotient,
-    read off its dual: the same-point map from the dual column into the dual
-    hook in descending level, which dies on cohomology exactly when g dies
-    on homology (dual keeps the points, so f is built the same way).  The
-    same reduction gives the target's homology dimension, kernel size minus
-    rank.
+    realize levels the region by the route, and the answer is the least
+    level s, at least 0, at which the map dies on homology.  A route that
+    gives i on every grading's point reads the _by_i entry.  On the lhook,
+    f: column -> {level <= s} sends a generator's column point (0, A) to
+    its point in the region when the two coincide, else to 0.  Reducing the
+    lhook's boundary in ascending level gives basis vectors whose combos
+    have their own column as top bit, so the top bit of the combo that
+    writes f(z) as a boundary is the last column needed; the level is None
+    when some f(z) is not a boundary.  On the hook, g: hook -> column dies
+    at a quotient, read off the duals: the same-point map into the dual
+    hook, reduced in descending level, dies on cohomology exactly when g
+    dies on homology.  The reduction also gives the target's homology
+    dimension, kernel size minus rank.
 
     f is a plain column list, not a checked chain map: a same-point map
     between regions commutes with the boundaries by the region theory, and
@@ -136,19 +129,20 @@ def _death(complex: CfkComplex, shape: str, route: Level) -> _Death:
     levels never exceed these.
     """
     t = tau(complex)
-    target = realize(complex, Region(shape, t))
-    levels = tuple(route(shape, t, p.i, p.j) for p in target.points)
-    if route is not _by_i and levels == tuple(p.i for p in target.points):
+    region = Region(shape, t)
+    grades = complex.gradings
+    at = {a: region.point(a) for a in set(grades)}
+    if route is not _by_i and all(route(shape, t, i, j) == i for i, j in at.values()):
         return _death(complex, shape, _by_i)
     source, h = column(complex)
-    reps = h.representatives
+    target = realize(complex, region, route)
+    reps, cols, levels, sign = h.representatives, target.boundary, target.filtration, 1
     if shape == "hook":
-        source, target, levels = dual(source), dual(target), tuple(-s for s in levels)
-        reps = homology(source).representatives
-    target = sorted_by_level(target, levels)
-    where = {p: k for k, p in enumerate(target.points)}
-    f = [1 << where[p] if p in where else 0 for p in source.points]
-    basis, kernel = gf2.image_and_kernel(list(target.boundary))
+        reps = homology(dual(source)).representatives
+        cols, levels, sign = dual(target).boundary[::-1], levels[::-1], -1
+    where = {g: k for k, g in enumerate(target.index)}
+    f = [1 << where[g] if at[grades[g]] == (0, grades[g]) else 0 for g in source.index]
+    basis, kernel = gf2.image_and_kernel(list(cols))
     dim = len(kernel) - basis.rank
     last = -1
     for z in reps:
@@ -156,7 +150,7 @@ def _death(complex: CfkComplex, shape: str, route: Level) -> _Death:
         if remainder:
             return _Death(None, dim)
         last = max(last, combo.bit_length() - 1)
-    return _Death(max(0, target.filtration[last]) if last >= 0 else 0, dim)
+    return _Death(max(0, sign * levels[last]) if last >= 0 else 0, dim)
 
 
 def tau(complex: CfkComplex) -> int:

@@ -30,7 +30,7 @@ import sympy
 from cfk.gf2 import XorBasis, image_and_kernel
 from cfk.homology import F2Complex, homology, realize
 from cfk.invariants import InvariantViolation, SearchExhausted
-from cfk.regions import Region, RegionError
+from cfk.regions import LatticePoint, Region, RegionError
 
 
 def apply_boundary(cols: tuple[int, ...], chain: int) -> int:
@@ -350,6 +350,45 @@ def filtration_quotient(x: F2Complex, min_level: int) -> F2Complex:
     if x.filtration is None:
         raise RegionError("complex carries no filtration")
     return _restrict(x, [k for k in range(x.dim) if x.filtration[k] >= min_level])
+
+
+def leveled_region(complex, region: Region, route=None) -> F2Complex:
+    """The region realized from its definition, in ascending route level.
+
+    Each generator's point is found by scanning its diagonal with
+    region_reference, and an entry d(x) = U^k y is kept when U^k y's
+    lattice point, (i - k, i - k + A(y)) for x at (i, j), passes the same
+    predicate.  Without a route the basis is in generator order.  With one,
+    it is sorted by the route's level (ties in generator order) and
+    with_filtration checks that no boundary raises the level.
+    """
+    shape, t, clip = region.shape, region.level, region.clip
+    reach = abs(t) + complex.genus_bound + 1
+    located = {}
+    for g in complex.generators:
+        found = [
+            (i, i + g.alexander)
+            for i in range(-reach, reach + 1)
+            if region_reference(shape, t, clip, i, i + g.alexander)
+        ]
+        assert len(found) <= 1, (g, region)
+        if found:
+            located[g.id] = found[0]
+    order = [g.id for g in complex.generators if g.id in located]
+    if route is not None:
+        order.sort(key=lambda gid: route(shape, t, *located[gid]))
+    position = {gid: k for k, gid in enumerate(order)}
+    alexander = {g.id: g.alexander for g in complex.generators}
+    cols = [0] * len(order)
+    for e in complex.differential:
+        if e.src in located:
+            i = located[e.src][0] - e.upower
+            if region_reference(shape, t, clip, i, i + alexander[e.dst]):
+                cols[position[e.src]] ^= 1 << position[e.dst]
+    x = F2Complex(tuple(LatticePoint(gid, *located[gid]) for gid in order), tuple(cols))
+    if route is None:
+        return x
+    return with_filtration(x, tuple(route(shape, t, *located[gid]) for gid in order))
 
 
 def a1_surgery_by_walk(complex, n: int) -> int:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +179,34 @@ def test_parameter_errors_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("option", ["--torus", "--cable"])
+@pytest.mark.parametrize("joined", [False, True])
+def test_negative_parameter_exits_1_however_spelled(capsys, option, joined):
+    # a value with a leading minus sign must not read as an option (exit 2)
+    value = "-1,3" if option == "--torus" else "-1,3;2,5"
+    argv = [f"{option}={value}"] if joined else [option, value]
+    code, out, err = run(capsys, "staircase", *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: need positive parameters, got (-1, 3)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("suite", "--seeds", "50"),
+    ("realize", "--knot", "T(2,9)", "--region", "hookclip:1,0"),
+])
+def test_closed_pipe_exits_1_quietly(argv):
+    # the reader closes its end before the first write, so the write fails
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-m", "cfk", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_bare_value_error_is_a_bug_not_an_error_line(capsys, monkeypatch):

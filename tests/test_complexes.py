@@ -150,6 +150,38 @@ def test_d_squared_detected():
     assert any("d^2" in e for e in rep.errors)
 
 
+def test_error_list_text_and_order_are_pinned():
+    # ids sort in another order than the generators (alexander descending),
+    # and each rule breaks at several entries; the list below is the one
+    # that the string-keyed rules wrote before validate read index arrays
+    g = Generator
+    gens = (g("z", 3, 0), g("y", 2, -1), g("m", 1, -2), g("b", 0, -3), g("a", -1, -4),
+            g("k", 1, 5))
+    pairs = ["zy0", "ym0", "mb0", "ba0", "az1", "bk0", "am0", "zk2"]
+    c = CfkComplex("broken", gens, tuple(DiffEntry(p[0], p[1], int(p[2])) for p in pairs))
+    rep = validate(c)
+    assert rep.checks == {"alexander-rule": False, "maslov-rule": False, "d-squared": False}
+    assert rep.errors == [
+        "entry a->m U^0: alexander grading rises",
+        "entry a->z U^1: alexander grading rises",
+        "entry b->k U^0: alexander grading rises",
+        "entry a->m U^0: maslov -2 != -5",
+        "entry a->z U^1: maslov 0 != -3",
+        "entry b->k U^0: maslov 5 != -4",
+        "entry z->k U^2: maslov 5 != 3",
+        "d^2 term a->b U^0 survives",
+        "d^2 term a->k U^3 survives",
+        "d^2 term a->y U^1 survives",
+        "d^2 term b->m U^0 survives",
+        "d^2 term b->z U^1 survives",
+        "d^2 term m->a U^0 survives",
+        "d^2 term m->k U^0 survives",
+        "d^2 term y->b U^0 survives",
+        "d^2 term z->m U^0 survives",
+    ]
+    assert rep.warnings == ["alexander gradings are not symmetric under negation"]
+
+
 @pytest.mark.parametrize("failed", sorted(_BROKEN))
 def test_broken_complex_fails_validate_on_the_command_line(capsys, tmp_path, failed):
     path = tmp_path / "broken.json"

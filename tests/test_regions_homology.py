@@ -5,9 +5,9 @@ import pytest
 
 import cfk
 from cfk.builders import box, random_model
-from cfk.complexes import tensor
-from cfk.homology import dual, homology, realize, sorted_by_level
-from cfk.invariants import tau
+from cfk.complexes import mirror, tensor
+from cfk.homology import dual, homology, realize
+from cfk.invariants import _by_i, _by_steps, tau
 from cfk.regions import LatticePoint, Region, RegionError
 
 from oracles import (
@@ -18,6 +18,7 @@ from oracles import (
     f_map,
     g_map,
     is_trivial,
+    leveled_region,
     quotient_then_include,
     region_reference,
     with_filtration,
@@ -184,17 +185,56 @@ def test_noncommuting_kill_rejected(trefoil):
         chain_map_by_points(source, source, {0, 1})
 
 
+def _minus_j(shape, t, i, j):
+    return -j
+
+
+def _j_nonnegative(shape, t, i, j):
+    return int(j >= 0)
+
+
 def test_filtration_levels_checked(trefoil):
     x = realize(trefoil, Region("vertical", 0))
     with pytest.raises(RegionError):
         with_filtration(x, (0, 0, 1))  # boundary b1 -> b2 would raise the level
     with pytest.raises(RegionError):
-        sorted_by_level(x, (0, 0, 1))
-    y = sorted_by_level(x, (1, 1, 0))
+        realize(trefoil, Region("vertical", 0), _minus_j)  # the same levels, (0, 0, 1)
+    y = realize(trefoil, Region("vertical", 0), _j_nonnegative)  # levels (1, 1, 0)
     assert y.points == (x.points[2], x.points[0], x.points[1])
     assert y.filtration == (0, 1, 1)
     assert y.boundary == (0, 0, 0b1)  # b1 -> b2 re-indexed
     assert homology(y).dimension == homology(x).dimension
+
+
+def test_leveled_regions_match_their_definitions(library):
+    # every shape and level, unleveled, by each route and by -j, on both
+    # orientations of each complex (it and its mirror); a region whose
+    # levels a boundary raises, as -j is on the column, must be refused by both
+    pool = list(library.values()) + [random_model(seed, size=1) for seed in range(10)]
+    pool += [random_model(seed, size=2) for seed in range(3)]
+    pool += [mirror(c) for c in pool]
+    compared = refused = 0
+    for c in pool:
+        g = c.genus_bound
+        routes = [None, _by_i, _minus_j] + [_by_steps(n) for n in range(1, 2 * g + 3)]
+        for shape in ("vertical", "hook", "lhook"):
+            for t in range(-g - 2, g + 3):
+                region = Region(shape, t)
+                for route in routes:
+                    try:
+                        want = leveled_region(c, region, route)
+                    except RegionError:
+                        with pytest.raises(RegionError):
+                            realize(c, region, route)
+                        refused += 1
+                        continue
+                    got = realize(c, region, route)
+                    assert got.points == want.points, (c.name, region, route)
+                    assert got.boundary == want.boundary, (c.name, region, route)
+                    assert got.filtration == want.filtration, (c.name, region, route)
+                    assert [c.generators[k].id for k in got.index] == [p.gen for p in got.points]
+                    compared += 1
+    assert compared > 0 and refused > 0
 
 
 def test_dual_is_the_transpose():
