@@ -184,8 +184,13 @@ def cmd_realize(args) -> int:
     region = _parse_region(args.region)
     x = realize(c, region)
     print(f"region {region.describe()}: {x.dim} basis points")
-    for k, p in enumerate(x.points):
-        targets = [x.points[t] for t in range(x.dim) if x.boundary[k] >> t & 1]
+    points = x.points
+    for p, col in zip(points, x.boundary):
+        targets = []
+        while col:  # the targets in ascending basis order, one per set bit
+            low = col & -col
+            targets.append(points[low.bit_length() - 1])
+            col ^= low
         arrow = " -> " + " + ".join(f"[{t.gen},{t.i},{t.j}]" for t in targets) if targets else ""
         print(f"  [{p.gen},{p.i},{p.j}]{arrow}")
     print(f"homology dimension {homology(x).dimension}")

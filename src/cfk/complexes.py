@@ -10,6 +10,7 @@ All structural operations return new immutable values.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring
@@ -107,6 +108,17 @@ class CfkComplex:
     def gradings(self) -> tuple[int, ...]:
         """The Alexander grading of each generator, by index."""
         return tuple(g.alexander for g in self.generators)
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, int, int], ...]:
+        """(grading, start, stop) per Alexander grading, in generator order:
+        generators are sorted by descending grading, so each grading holds
+        one contiguous index range."""
+        out, start = [], 0
+        for a, count in sorted(Counter(self.gradings).items(), reverse=True):
+            out.append((a, start, start + count))
+            start += count
+        return tuple(out)
 
     @cached_property
     def arrows(self) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 
 class XorBasis:
-    """Incremental reduced basis with combination tracking, indexed by pivot.
+    """Reduced basis with combination tracking, indexed by pivot.
 
-    Each kept vector is stored under its pivot, its highest set bit, as
-    ``(vector, combo)``; ``mask`` is the OR of all pivot bits.  Reducing a
+    image_and_kernel fills it.  Each kept vector is stored under its pivot,
+    its highest set bit, as ``(vector, combo)``; ``mask`` is the OR of all
+    pivot bits and ``inserted`` counts the columns inserted.  Reducing a
     vector XORs in only the entries whose pivots are set in it, highest
     first, until no pivot bit is left.  The remainder, zero at every pivot,
     is unique, and so is the combo; both are deterministic in the insertion
@@ -38,22 +39,6 @@ class XorBasis:
             hits = v & mask
         return v, combo
 
-    def insert(self, v: int) -> tuple[int, int]:
-        """Insert a vector; return its reduced form and combo mask.
-
-        A reduced form of 0 means v was already in the span; the combo
-        mask then names a subset of previously inserted vectors (plus v
-        itself) that XORs to zero.  Otherwise the reduced form is kept
-        under its top bit.
-        """
-        v, combo = self.reduce(v, 1 << self.inserted)
-        self.inserted += 1
-        if v:
-            top = v.bit_length() - 1
-            self.by_pivot[top] = (v, combo)
-            self.mask |= 1 << top
-        return v, combo
-
     @property
     def rank(self) -> int:
         return len(self.by_pivot)
@@ -62,17 +47,32 @@ class XorBasis:
 def image_and_kernel(cols: list[int]) -> tuple[XorBasis, list[int]]:
     """Reduced column space basis and kernel basis of a matrix given by columns.
 
-    The basis holds the columns that got pivots, in reduced form.  Each
-    kernel element is a mask over column indices whose columns XOR to
-    zero, with its own column as top bit, so no two share a top bit.
-    Both are deterministic in column order.
+    One pass inserts the columns in order: column k is reduced with the
+    combo 1 << k, and kept under its top bit unless it reduces to zero,
+    when its combo is a kernel element.  The basis holds the columns that
+    got pivots, in reduced form.  Each kernel element is a mask over column
+    indices whose columns XOR to zero, with its own column as top bit, so
+    no two share a top bit.  Both are deterministic in column order.  The
+    loop is XorBasis.reduce inlined, with the pivots and mask in locals.
     """
     basis = XorBasis()
+    by_pivot, mask = basis.by_pivot, 0
     kernel: list[int] = []
-    for c in cols:
-        reduced, combo = basis.insert(c)
-        if not reduced:
+    for k, v in enumerate(cols):
+        combo = 1 << k
+        hits = v & mask
+        while hits:
+            bv, bc = by_pivot[hits.bit_length() - 1]
+            v ^= bv
+            combo ^= bc
+            hits = v & mask
+        if v:
+            top = v.bit_length() - 1
+            by_pivot[top] = (v, combo)
+            mask |= 1 << top
+        else:
             kernel.append(combo)
+    basis.mask, basis.inserted = mask, len(cols)
     return basis, kernel
 
 

@@ -2,20 +2,25 @@
 
 Realizing a region turns a bifiltered complex into a plain finite chain
 complex over the two-element field, in one pass over the complex's int
-arrays that also orders the basis by a level when given one.  A region is
-a subquotient, so its d^2 = 0 follows from the complex's, which validate
-checks; nothing here re-checks it.  Chains are int bitsets over the basis
-(see gf2); homology representatives are read off the pivots of one
-deterministic reduction in basis order, so fixtures stay stable.  There
-are no chain maps here: the maps between regions that the invariants need
-send each lattice point to itself, and the death reader in invariants
-applies them as plain column lists.
+arrays that also orders the basis by a level when given one.  Generators
+of one Alexander grading form one contiguous index range, and a region's
+point depends on the grading alone, so realize places a whole block at
+once; the lattice points themselves are built only when a reader asks
+for them, which no reduction does.  A region is a subquotient, so its
+d^2 = 0 follows from the complex's, which validate checks; nothing here
+re-checks it.  Chains are int bitsets over the basis (see gf2); homology
+representatives are read off the pivots of one deterministic reduction
+in basis order, so fixtures stay stable.  There are no chain maps here:
+the maps between regions that the invariants need send each lattice
+point to itself, and the death reader in invariants applies them as
+plain column lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
+from operator import itemgetter
 from typing import Callable
 
 from . import gf2
@@ -32,16 +37,32 @@ class F2Complex:
 
     ``boundary`` holds one column bitmask per basis point.  realize sets
     ``index`` (generator indices) and, given a level, ``filtration``.
+    ``points``, the lattice point of each basis element, is built on first
+    read by ``locate`` (empty without one); no reduction reads it, so a
+    report never builds it.  Equality and the hash leave ``locate`` out.
     """
 
-    points: tuple[LatticePoint, ...]
     boundary: tuple[int, ...]
     filtration: tuple[int, ...] | None = None
     index: tuple[int, ...] | None = None
+    locate: Callable[[], tuple[LatticePoint, ...]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def dim(self) -> int:
-        return len(self.points)
+        return len(self.boundary)
+
+    @cached_property
+    def points(self) -> tuple[LatticePoint, ...]:
+        return self.locate() if self.locate else ()
+
+
+def _lattice_points(complex: CfkComplex, region: Region, index) -> tuple[LatticePoint, ...]:
+    """The region's point [x, i, j] of each indexed generator x."""
+    gens = complex.generators
+    at = {a: region.point(a) for a, _, _ in complex.blocks}
+    return tuple([LatticePoint(gens[k].id, *at[gens[k].alexander]) for k in index])
 
 
 @lru_cache(maxsize=4096)
@@ -50,33 +71,49 @@ def realize(complex: CfkComplex, region: Region, level: Level | None = None) -> 
 
     A differential entry d(x) = U^k y connects [x, i, j] to [y, i-k, i-k+A(y)];
     the region meets each diagonal j - i = A(y) at most once, so the entry
-    stays inside exactly when y's point in it has i = i(x) - k.  Points and
-    levels are evaluated once per grading.  Given a level, the basis is in
-    ascending level (ties, like the unleveled basis, in generator order) and
-    RegionError is raised when a boundary raises the level, so each
-    sublevel set is a prefix and one reduction reads every cutoff.
+    stays inside exactly when y's point in it has i = i(x) - k.  Generators
+    come in blocks of equal grading, so the point and its level are
+    evaluated once per block, and a block is placed whole.  Given a level,
+    the blocks are in ascending level (ties, like the unleveled basis, in
+    generator order) and RegionError is raised when a boundary raises the
+    level, so each sublevel set is a prefix and one reduction reads every
+    cutoff.  The highest target of a column has the highest level, so that
+    is the one compared.
     """
     if not isinstance(region, Region):
         raise RegionError(f"unknown region kind: {region!r}")
     shape, t = region.shape, region.level
-    points_at = {a: region.point(a) for a in set(complex.gradings)}
-    at = {a: p and (*p, level(shape, t, *p) if level else 0) for a, p in points_at.items()}
-    placed = [at[a] for a in complex.gradings]  # (i, j, level) per generator, or None
-    keep = sorted((k for k, p in enumerate(placed) if p), key=lambda k: placed[k][2])
-    position = {old: new for new, old in enumerate(keep)}
+    blocks = []  # (level, start, stop, i) per block that the region holds
+    for a, start, stop in complex.blocks:
+        p = region.point(a)
+        if p:
+            blocks.append((level(shape, t, *p) if level else 0, start, stop, p[0]))
+    if level:
+        blocks.sort(key=itemgetter(0))
+    n = len(complex.generators)
+    at: list = [None] * n  # i per generator index; None off the region
+    position = [0] * n  # basis position per generator index
+    keep: list[int] = []
+    levels: list[int] = []
+    for s, start, stop, i in blocks:
+        size = stop - start
+        at[start:stop] = [i] * size
+        position[start:stop] = range(len(keep), len(keep) + size)
+        keep += range(start, stop)
+        levels += [s] * size
+    arrows = complex.arrows
     boundary = []
-    for old in keep:
-        col, (i, _, s) = 0, placed[old]
-        for d, u in complex.arrows[old]:
-            if d in position and placed[d][0] == i - u:
-                if placed[d][2] > s:
-                    raise RegionError("boundary raises the filtration level")
+    for k, old in enumerate(keep):
+        col, i = 0, at[old]
+        for d, u in arrows[old]:
+            if at[d] == i - u:
                 col |= 1 << position[d]
+        if col and levels[col.bit_length() - 1] > levels[k]:
+            raise RegionError("boundary raises the filtration level")
         boundary.append(col)
-    gens = complex.generators
-    points = tuple([LatticePoint(gens[k].id, placed[k][0], placed[k][1]) for k in keep])
-    levels = tuple(placed[k][2] for k in keep) if level else None
-    return F2Complex(points, tuple(boundary), levels, tuple(keep))
+    index = tuple(keep)
+    locate = partial(_lattice_points, complex, region, index)
+    return F2Complex(tuple(boundary), tuple(levels) if level else None, index, locate)
 
 
 @dataclass(frozen=True)
@@ -134,4 +171,4 @@ def dual(x: F2Complex) -> F2Complex:
             low = col & -col
             cols[low.bit_length() - 1] |= 1 << k
             col ^= low
-    return F2Complex(x.points, tuple(cols), index=x.index)
+    return F2Complex(tuple(cols), index=x.index, locate=x.locate)

@@ -140,8 +140,11 @@ def _death(complex: CfkComplex, shape: str, route: Level) -> _Death:
     if shape == "hook":
         reps = homology(dual(source)).representatives
         cols, levels, sign = dual(target).boundary[::-1], levels[::-1], -1
-    where = {g: k for k, g in enumerate(target.index)}
-    f = [1 << where[g] if at[grades[g]] == (0, grades[g]) else 0 for g in source.index]
+    same = {a for a, p in at.items() if p == (0, a)}  # gradings whose points coincide
+    where = [0] * len(grades)
+    for k, g in enumerate(target.index):
+        where[g] = k
+    f = [1 << where[g] if grades[g] in same else 0 for g in source.index]
     basis, kernel = gf2.image_and_kernel(list(cols))
     dim = len(kernel) - basis.rank
     last = -1

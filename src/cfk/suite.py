@@ -127,9 +127,9 @@ def prop_euler_characteristic(ctx: SuiteContext) -> tuple[int, list[str]]:
     graded = [c for c in ctx.pool if c.maslov_present]
     for c in graded:
         x, h = column(c)
-        sign = {g.id: 1 - 2 * (g.maslov % 2) for g in c.generators}
-        chi = sum(sign[p.gen] for p in x.points)
-        counted = sum(sign[x.points[z.bit_length() - 1].gen] for z in h.representatives)
+        sign = [1 - 2 * (g.maslov % 2) for g in c.generators]  # by generator index
+        chi = sum(sign[k] for k in x.index)
+        counted = sum(sign[x.index[z.bit_length() - 1]] for z in h.representatives)
         if counted != chi:
             failures.append(_offender(c, "euler characteristic mismatch on the column"))
     return len(graded), failures

@@ -7,7 +7,8 @@ something that cannot share their bugs.  Enumeration is exponential, so
 callers keep dimensions small.  The linear scan is the elimination the
 package used before its pivot-indexed kernel: lowest-bit pivots, every
 basis vector visited in turn, and representatives picked by a second
-reduction.  The cutoff walks do share the elimination: they are
+reduction.  insert is the one-call-per-column insertion that
+image_and_kernel inlines, kept as its reference.  The cutoff walks do share the elimination: they are
 independent in search strategy instead, realizing one clipped region or
 filtration piece per level and asking whether a map between plain
 complexes is zero on homology, where the package reads every cutoff, and
@@ -176,6 +177,33 @@ def scan_image_and_kernel(cols: list[int]) -> tuple[list[tuple[int, int, int]], 
     return basis, kernel
 
 
+def insert(basis: XorBasis, v: int) -> tuple[int, int]:
+    """Insert v into basis with the next combo bit; return its reduced form and combo.
+
+    The insertion that image_and_kernel inlines, kept method by method: a
+    reduced form of 0 means v was already in the span, and the combo then
+    names earlier vectors (plus v itself) that XOR to zero.
+    """
+    v, combo = basis.reduce(v, 1 << basis.inserted)
+    basis.inserted += 1
+    if v:
+        top = v.bit_length() - 1
+        basis.by_pivot[top] = (v, combo)
+        basis.mask |= 1 << top
+    return v, combo
+
+
+def insert_image_and_kernel(cols: list[int]) -> tuple[XorBasis, list[int]]:
+    """image_and_kernel as one insert call per column."""
+    basis = XorBasis()
+    kernel = []
+    for c in cols:
+        reduced, combo = insert(basis, c)
+        if not reduced:
+            kernel.append(combo)
+    return basis, kernel
+
+
 def greedy_representatives(cols: list[int]) -> tuple[int, ...]:
     """Homology representatives: extend the image basis with each kernel vector
     in order and keep those that stay independent."""
@@ -213,6 +241,11 @@ class ChainMap(NamedTuple):
         return apply_boundary(self.columns, chain)
 
 
+def with_points(points: tuple[LatticePoint, ...], cols, filtration=None) -> F2Complex:
+    """A complex over the given points, with the given boundary columns."""
+    return F2Complex(tuple(cols), filtration, locate=lambda: points)
+
+
 def chain_map_by_points(source: F2Complex, target: F2Complex, survivors) -> ChainMap:
     """Map sending each surviving basis point to the same lattice point, rest to 0.
 
@@ -243,7 +276,7 @@ def with_filtration(x: F2Complex, levels: tuple[int, ...]) -> F2Complex:
             if levels[low.bit_length() - 1] > levels[k]:
                 raise RegionError("boundary raises the filtration level")
             col ^= low
-    return F2Complex(x.points, x.boundary, tuple(levels))
+    return with_points(x.points, x.boundary, tuple(levels))
 
 
 def is_trivial(f: ChainMap) -> bool:
@@ -332,7 +365,7 @@ def _restrict(x: F2Complex, keep: list[int]) -> F2Complex:
     filt = None
     if x.filtration is not None:
         filt = tuple(x.filtration[k] for k in keep)
-    out = F2Complex(points, tuple(cols), filt)
+    out = with_points(points, cols, filt)
     if not d_squared_is_zero(out):
         raise RegionError("restricted boundary squares to nonzero")
     return out
@@ -385,7 +418,7 @@ def leveled_region(complex, region: Region, route=None) -> F2Complex:
             i = located[e.src][0] - e.upower
             if region_reference(shape, t, clip, i, i + alexander[e.dst]):
                 cols[position[e.src]] ^= 1 << position[e.dst]
-    x = F2Complex(tuple(LatticePoint(gid, *located[gid]) for gid in order), tuple(cols))
+    x = with_points(tuple(LatticePoint(gid, *located[gid]) for gid in order), cols)
     if route is None:
         return x
     return with_filtration(x, tuple(route(shape, t, *located[gid]) for gid in order))

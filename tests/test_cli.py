@@ -108,7 +108,7 @@ def test_realize_debug_output(capsys):
     code, out, _ = run(capsys, "realize", "--knot", "T(2,3)", "--region", "hook:0")
     assert code == 0
     assert "3 basis points" in out
-    assert "[b1,0,0] -> " in out
+    assert "  [b1,0,0] -> [b0,-1,0] + [b2,0,-1]\n" in out  # targets in ascending basis order
     assert "homology dimension 1" in out
 
 

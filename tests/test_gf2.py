@@ -2,14 +2,17 @@ import random
 
 from cfk import gf2
 from cfk.builders import random_model
-from cfk.complexes import mirror
+from cfk.complexes import mirror, tensor
 from cfk.homology import F2Complex, column, dual, homology, realize
-from cfk.regions import LatticePoint, Region
+from cfk.invariants import invariants
+from cfk.regions import Region
 
 from oracles import (
     apply_boundary,
     d_squared_is_zero,
     greedy_representatives,
+    insert,
+    insert_image_and_kernel,
     scan_image_and_kernel,
     scan_reduce,
 )
@@ -44,7 +47,7 @@ def tagged_basis(vectors: list[int]) -> gf2.XorBasis:
     """Basis where vectors[k] carries bit k of the combo."""
     basis = gf2.XorBasis()
     for v in vectors:
-        assert basis.insert(v)[0]
+        assert insert(basis, v)[0]
     return basis
 
 
@@ -127,11 +130,36 @@ def test_kernel_matches_linear_scan_on_random_boundaries():
     rng = random.Random(9)
     for _ in range(300):
         n = rng.randint(1, 24)
-        points = tuple(LatticePoint(f"x{k}", 0, 0) for k in range(n))
-        x = F2Complex(points, tuple(random_boundary(rng, n)))
+        x = F2Complex(tuple(random_boundary(rng, n)))
         assert d_squared_is_zero(x)
         assert_kernel_matches_scan(x, rng)
         assert_kernel_matches_scan(dual(x), rng)
+
+
+def assert_same_elimination(cols: list[int]) -> None:
+    basis, kernel = gf2.image_and_kernel(cols)
+    ref, ref_kernel = insert_image_and_kernel(cols)
+    assert kernel == ref_kernel
+    assert list(basis.by_pivot.items()) == list(ref.by_pivot.items())
+    assert (basis.mask, basis.inserted) == (ref.mask, ref.inserted)
+
+
+def test_inlined_kernel_matches_the_insert_loop(t29, monkeypatch, cold_caches):
+    rng = random.Random(17)
+    for _ in range(300):
+        x = F2Complex(tuple(random_boundary(rng, rng.randint(1, 24))))
+        assert_same_elimination(list(x.boundary))
+        assert_same_elimination(list(dual(x).boundary))
+    # the four matrices of a cold report on the 729 generators of T(2,9)^{#3}
+    matrices = []
+    kernel = gf2.image_and_kernel
+    monkeypatch.setattr(gf2, "image_and_kernel", lambda cols: matrices.append(cols) or kernel(cols))
+    big = tensor(tensor(t29, t29), t29)
+    invariants(big)
+    monkeypatch.undo()
+    assert [len(cols) for cols in matrices] == [729] * 4
+    for cols in matrices:
+        assert_same_elimination(cols)
 
 
 def test_kernel_matches_linear_scan_on_regions():

@@ -5,9 +5,9 @@ import pytest
 
 import cfk
 from cfk.builders import box, random_model
-from cfk.complexes import mirror, tensor
-from cfk.homology import dual, homology, realize
-from cfk.invariants import _by_i, _by_steps, tau
+from cfk.complexes import mirror, tensor, validate
+from cfk.homology import _by_j, dual, homology, realize
+from cfk.invariants import _by_i, _by_steps, invariants, tau
 from cfk.regions import LatticePoint, Region, RegionError
 
 from oracles import (
@@ -251,6 +251,27 @@ def test_dual_is_the_transpose():
             assert homology(d).dimension == homology(x).dimension
             if x.dim <= 13:
                 assert brute_homology_dim(d.boundary) == homology(x).dimension
+
+
+def test_reports_build_no_lattice_points(library, cold_caches):
+    # a cold validate and report realize the column, the lhook and the hook
+    # and read none of their points; read afterwards, the points are the
+    # oracle's, in the same order
+    product = tensor(tensor(library["T(2,3)"], library["4_1"]), library["-T(2,3;2,5)"])
+    for c in (library["conway"], product):
+        cold_caches()
+        assert validate(c).ok
+        invariants(c)
+        t = tau(c)
+        keys = [(Region("vertical", 0), _by_j), (Region("lhook", t), _by_i),
+                (Region("hook", t), _by_i)]
+        info = realize.cache_info()
+        assert info.currsize == len(keys)
+        cached = [realize(c, region, level) for region, level in keys]
+        assert realize.cache_info().misses == info.misses
+        assert not any("points" in vars(x) for x in cached), c.name
+        for (region, level), x in zip(keys, cached):
+            assert x.points == leveled_region(c, region, level).points, (c.name, region)
 
 
 def test_regions_of_valid_complexes_square_to_zero(library):
