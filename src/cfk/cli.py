@@ -20,7 +20,16 @@ from .builders import (
     staircase,
     torus_knot_exponents,
 )
-from .complexes import CfkComplex, CfkError, load_file, mirror, serialize, tensor, validate
+from .complexes import (
+    CfkComplex,
+    CfkError,
+    ParameterError,
+    load_file,
+    mirror,
+    serialize,
+    tensor,
+    validate,
+)
 from .homology import homology, realize
 from .invariants import (
     a1_algebraic,
@@ -124,11 +133,9 @@ def cmd_a1(args) -> int:
 def cmd_filtration(args) -> int:
     (c,) = _resolve_inputs(args, 1)
     _require_valid(c)
-    hook = realize(c, Region("hook", args.m))
-    rows = []
-    for p in hook.points:
-        level = meridian_filtration(p.i, p.j, args.m, args.n)
-        rows.append((p.gen, p.i, p.j, level.first, level.second))
+    # the unclipped hook holds every generator once, in generator order
+    hook = Region("hook", args.m).lattice_points(c, range(len(c.generators)))
+    rows = [(p.gen, p.i, p.j, *meridian_filtration(p.i, p.j, args.m, args.n)) for p in hook]
     if args.format == "json":
         print(json.dumps(
             [{"gen": g, "i": i, "j": j, "first": a, "second": b} for g, i, j, a, b in rows],
@@ -170,7 +177,12 @@ def cmd_staircase(args) -> int:
             base_part, _, cable_part = args.cable.partition(";")
             p, q = (int(x) for x in base_part.split(","))
             r, s = (int(x) for x in cable_part.split(","))
-            e = cable_exponents(torus_knot_exponents(p, q), r, s)
+            base = torus_knot_exponents(p, q)
+            e = cable_exponents(base, r, s)
+            bound = r * (2 * base.exponents[0] - 1)  # L-space cables: Hom, AGT 2011
+            if r >= 2 and s < bound:
+                raise ParameterError(f"the ({r},{s})-cable of T({p},{q}) is not an L-space"
+                                     f" knot: need S >= R(2g - 1) = {bound} for R >= 2")
             name = f"T({p},{q};{r},{s})"
     except ValueError as err:
         raise CfkError(str(err)) from None
@@ -184,7 +196,7 @@ def cmd_realize(args) -> int:
     region = _parse_region(args.region)
     x = realize(c, region)
     print(f"region {region.describe()}: {x.dim} basis points")
-    points = x.points
+    points = region.lattice_points(c, x.index)
     for p, col in zip(points, x.boundary):
         targets = []
         while col:  # the targets in ascending basis order, one per set bit

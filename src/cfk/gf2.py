@@ -12,17 +12,15 @@ class XorBasis:
 
     image_and_kernel fills it.  Each kept vector is stored under its pivot,
     its highest set bit, as ``(vector, combo)``; ``mask`` is the OR of all
-    pivot bits and ``inserted`` counts the columns inserted.  Reducing a
-    vector XORs in only the entries whose pivots are set in it, highest
-    first, until no pivot bit is left.  The remainder, zero at every pivot,
-    is unique, and so is the combo; both are deterministic in the insertion
-    order.
+    pivot bits.  Reducing a vector XORs in only the entries whose pivots
+    are set in it, highest first, until no pivot bit is left.  The
+    remainder, zero at every pivot, is unique, and so is the combo; both
+    are deterministic in the insertion order.
     """
 
     def __init__(self) -> None:
         self.by_pivot: dict[int, tuple[int, int]] = {}  # pivot index -> (vector, combo)
         self.mask = 0  # OR of the pivot bits
-        self.inserted = 0
 
     def reduce(self, v: int, combo: int = 0) -> tuple[int, int]:
         """Reduce v; return the remainder and combo XORed with the masks used.
@@ -72,7 +70,7 @@ def image_and_kernel(cols: list[int]) -> tuple[XorBasis, list[int]]:
             mask |= 1 << top
         else:
             kernel.append(combo)
-    basis.mask, basis.inserted = mask, len(cols)
+    basis.mask = mask
     return basis, kernel
 
 

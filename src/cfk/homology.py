@@ -5,27 +5,26 @@ complex over the two-element field, in one pass over the complex's int
 arrays that also orders the basis by a level when given one.  Generators
 of one Alexander grading form one contiguous index range, and a region's
 point depends on the grading alone, so realize places a whole block at
-once; the lattice points themselves are built only when a reader asks
-for them, which no reduction does.  A region is a subquotient, so its
-d^2 = 0 follows from the complex's, which validate checks; nothing here
-re-checks it.  Chains are int bitsets over the basis (see gf2); homology
-representatives are read off the pivots of one deterministic reduction
-in basis order, so fixtures stay stable.  There are no chain maps here:
-the maps between regions that the invariants need send each lattice
-point to itself, and the death reader in invariants applies them as
+once.  A realization holds only what a reduction reads: columns, levels
+and generator indices (Region.lattice_points names the points).  A region
+is a subquotient, so its d^2 = 0 follows from the complex's, which
+validate checks.  Chains are int bitsets over the basis (see gf2);
+homology representatives are read off the pivots of one deterministic
+reduction in basis order, so fixtures stay stable.  There are no chain
+maps here: the death reader in invariants applies its same-point maps as
 plain column lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable
 
 from . import gf2
 from .complexes import CfkComplex
-from .regions import LatticePoint, Region, RegionError
+from .regions import Region, RegionError
 
 # level(shape, t, i, j): the level of the point (i, j) of the region at t
 Level = Callable[[str, int, int, int], int]
@@ -35,34 +34,17 @@ Level = Callable[[str, int, int, int], int]
 class F2Complex:
     """Chain complex over the two-element field with a fixed ordered basis.
 
-    ``boundary`` holds one column bitmask per basis point.  realize sets
-    ``index`` (generator indices) and, given a level, ``filtration``.
-    ``points``, the lattice point of each basis element, is built on first
-    read by ``locate`` (empty without one); no reduction reads it, so a
-    report never builds it.  Equality and the hash leave ``locate`` out.
+    ``boundary`` holds one column bitmask per basis point; realize sets
+    ``index``, each point's generator index, and, given a level, ``filtration``.
     """
 
     boundary: tuple[int, ...]
     filtration: tuple[int, ...] | None = None
     index: tuple[int, ...] | None = None
-    locate: Callable[[], tuple[LatticePoint, ...]] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def dim(self) -> int:
         return len(self.boundary)
-
-    @cached_property
-    def points(self) -> tuple[LatticePoint, ...]:
-        return self.locate() if self.locate else ()
-
-
-def _lattice_points(complex: CfkComplex, region: Region, index) -> tuple[LatticePoint, ...]:
-    """The region's point [x, i, j] of each indexed generator x."""
-    gens = complex.generators
-    at = {a: region.point(a) for a, _, _ in complex.blocks}
-    return tuple([LatticePoint(gens[k].id, *at[gens[k].alexander]) for k in index])
 
 
 @lru_cache(maxsize=4096)
@@ -111,15 +93,16 @@ def realize(complex: CfkComplex, region: Region, level: Level | None = None) -> 
         if col and levels[col.bit_length() - 1] > levels[k]:
             raise RegionError("boundary raises the filtration level")
         boundary.append(col)
-    index = tuple(keep)
-    locate = partial(_lattice_points, complex, region, index)
-    return F2Complex(tuple(boundary), tuple(levels) if level else None, index, locate)
+    return F2Complex(tuple(boundary), tuple(levels) if level else None, tuple(keep))
 
 
 @dataclass(frozen=True)
 class HomologyResult:
-    dimension: int
     representatives: tuple[int, ...]  # cycle bitmasks over the basis
+
+    @property
+    def dimension(self) -> int:
+        return len(self.representatives)
 
 
 def homology(x: F2Complex) -> HomologyResult:
@@ -132,12 +115,11 @@ def homology(x: F2Complex) -> HomologyResult:
     keeps when it extends the image basis with each kernel vector in order,
     read off the one reduction that split the columns.
     Not cached: every cache in cfk is keyed on the knot complex plus small
-    values: realize on (complex, region, level), column on the complex, and
-    the invariants' death reader on (complex, shape, route).
+    values, and a realization is not one.
     """
     basis, kernel = gf2.image_and_kernel(list(x.boundary))
     reps = [z for z in kernel if z.bit_length() - 1 not in basis.by_pivot]
-    return HomologyResult(len(reps), tuple(reps))
+    return HomologyResult(tuple(reps))
 
 
 def _by_j(shape: str, t: int, i: int, j: int) -> int:
@@ -167,8 +149,9 @@ def dual(x: F2Complex) -> F2Complex:
     """
     cols = [0] * x.dim
     for k, col in enumerate(x.boundary):
+        source = 1 << k
         while col:
-            low = col & -col
-            cols[low.bit_length() - 1] |= 1 << k
-            col ^= low
-    return F2Complex(tuple(cols), index=x.index, locate=x.locate)
+            top = col.bit_length() - 1
+            cols[top] |= source
+            col ^= 1 << top
+    return F2Complex(tuple(cols), index=x.index)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .complexes import CfkError
+from .complexes import CfkComplex, CfkError
 
 
 class RegionError(CfkError):
@@ -70,6 +70,12 @@ class Region:
             i, j = max(0, level - alexander), max(alexander, level)
             kept = clip is None or i <= clip
         return (i, j) if kept else None
+
+    def lattice_points(self, complex: CfkComplex, index) -> tuple[LatticePoint, ...]:
+        """The point [x, i, j] of each indexed generator x: a realization's basis points."""
+        gens = complex.generators
+        at = {a: self.point(a) for a, _, _ in complex.blocks}
+        return tuple([LatticePoint(gens[k].id, *at[gens[k].alexander]) for k in index])
 
     def describe(self) -> str:
         equation, clipped = _SHAPES[self.shape]

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import sympy
 
 from cfk.gf2 import XorBasis, image_and_kernel
-from cfk.homology import F2Complex, homology, realize
+from cfk.homology import homology, realize
 from cfk.invariants import InvariantViolation, SearchExhausted
 from cfk.regions import LatticePoint, Region, RegionError
 
@@ -44,7 +44,7 @@ def apply_boundary(cols: tuple[int, ...], chain: int) -> int:
     return out
 
 
-def d_squared_is_zero(x: F2Complex) -> bool:
+def d_squared_is_zero(x) -> bool:
     """d^2 = 0 on x: the boundary of every boundary column vanishes."""
     return all(apply_boundary(x.boundary, col) == 0 for col in x.boundary)
 
@@ -177,15 +177,15 @@ def scan_image_and_kernel(cols: list[int]) -> tuple[list[tuple[int, int, int]], 
     return basis, kernel
 
 
-def insert(basis: XorBasis, v: int) -> tuple[int, int]:
-    """Insert v into basis with the next combo bit; return its reduced form and combo.
+def insert(basis: XorBasis, v: int, k: int) -> tuple[int, int]:
+    """Insert v into basis as column k; return its reduced form and combo.
 
-    The insertion that image_and_kernel inlines, kept method by method: a
-    reduced form of 0 means v was already in the span, and the combo then
-    names earlier vectors (plus v itself) that XOR to zero.
+    The insertion that image_and_kernel inlines, kept method by method: v
+    starts with the combo bit k, a reduced form of 0 means v was already in
+    the span, and the combo then names earlier vectors (plus v itself) that
+    XOR to zero.
     """
-    v, combo = basis.reduce(v, 1 << basis.inserted)
-    basis.inserted += 1
+    v, combo = basis.reduce(v, 1 << k)
     if v:
         top = v.bit_length() - 1
         basis.by_pivot[top] = (v, combo)
@@ -197,8 +197,8 @@ def insert_image_and_kernel(cols: list[int]) -> tuple[XorBasis, list[int]]:
     """image_and_kernel as one insert call per column."""
     basis = XorBasis()
     kernel = []
-    for c in cols:
-        reduced, combo = insert(basis, c)
+    for k, c in enumerate(cols):
+        reduced, combo = insert(basis, c, k)
         if not reduced:
             kernel.append(combo)
     return basis, kernel
@@ -220,33 +220,50 @@ def greedy_representatives(cols: list[int]) -> tuple[int, ...]:
 # -- cutoff walks: one realization and one homology per level ------------------
 
 
+class Located(NamedTuple):
+    """A complex whose basis points are lattice points: the walks' own record.
+
+    homology reads only ``boundary``, so a record reduces as it stands.
+    """
+
+    boundary: tuple[int, ...]
+    filtration: tuple[int, ...] | None
+    points: tuple[LatticePoint, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.boundary)
+
+
 @lru_cache(maxsize=4096)
-def _boundary_span(x: F2Complex) -> XorBasis:
+def located(complex, region: Region) -> Located:
+    """The package's realization of the region, with the points of its basis."""
+    x = realize(complex, region)
+    return Located(x.boundary, x.filtration, region.lattice_points(complex, x.index))
+
+
+@lru_cache(maxsize=4096)
+def _boundary_span(x: Located) -> XorBasis:
     return image_and_kernel(list(x.boundary))[0]
 
 
 @lru_cache(maxsize=4096)
-def _representatives(x: F2Complex) -> tuple[int, ...]:
+def _representatives(x: Located) -> tuple[int, ...]:
     return homology(x).representatives
 
 
 class ChainMap(NamedTuple):
     """Matrix over the two-element field, one target bitmask per source point."""
 
-    source: F2Complex
-    target: F2Complex
+    source: Located
+    target: Located
     columns: tuple[int, ...]
 
     def apply(self, chain: int) -> int:
         return apply_boundary(self.columns, chain)
 
 
-def with_points(points: tuple[LatticePoint, ...], cols, filtration=None) -> F2Complex:
-    """A complex over the given points, with the given boundary columns."""
-    return F2Complex(tuple(cols), filtration, locate=lambda: points)
-
-
-def chain_map_by_points(source: F2Complex, target: F2Complex, survivors) -> ChainMap:
+def chain_map_by_points(source: Located, target: Located, survivors) -> ChainMap:
     """Map sending each surviving basis point to the same lattice point, rest to 0.
 
     Raises RegionError when a survivor is missing from the target or the map
@@ -268,7 +285,7 @@ def chain_map_by_points(source: F2Complex, target: F2Complex, survivors) -> Chai
     return ChainMap(source, target, cols)
 
 
-def with_filtration(x: F2Complex, levels: tuple[int, ...]) -> F2Complex:
+def with_filtration(x: Located, levels: tuple[int, ...]) -> Located:
     """x carrying the given levels; raises RegionError if a boundary raises one."""
     for k, col in enumerate(x.boundary):
         while col:
@@ -276,7 +293,7 @@ def with_filtration(x: F2Complex, levels: tuple[int, ...]) -> F2Complex:
             if levels[low.bit_length() - 1] > levels[k]:
                 raise RegionError("boundary raises the filtration level")
             col ^= low
-    return with_points(x.points, x.boundary, tuple(levels))
+    return x._replace(filtration=tuple(levels))
 
 
 def is_trivial(f: ChainMap) -> bool:
@@ -287,8 +304,8 @@ def is_trivial(f: ChainMap) -> bool:
 
 def quotient_then_include(complex, source_region: Region, target_region: Region) -> ChainMap:
     """Quotient the source region by its points outside the target, then include."""
-    source = realize(complex, source_region)
-    target = realize(complex, target_region)
+    source = located(complex, source_region)
+    target = located(complex, target_region)
     shape, level, clip = target_region.shape, target_region.level, target_region.clip
     survivors = {
         k for k, p in enumerate(source.points) if region_reference(shape, level, clip, p.i, p.j)
@@ -343,7 +360,7 @@ def a1_algebraic_by_walk(complex) -> int:
     raise SearchExhausted(f"a1 search exhausted [0, {2 * g + 2}]; complex invalid")
 
 
-def _restrict(x: F2Complex, keep: list[int]) -> F2Complex:
+def _restrict(x: Located, keep: list[int]) -> Located:
     """Subquotient of x spanned by the kept basis points.
 
     Only valid when the kept set is a filtration sub or quotient piece;
@@ -365,27 +382,27 @@ def _restrict(x: F2Complex, keep: list[int]) -> F2Complex:
     filt = None
     if x.filtration is not None:
         filt = tuple(x.filtration[k] for k in keep)
-    out = with_points(points, cols, filt)
+    out = Located(tuple(cols), filt, points)
     if not d_squared_is_zero(out):
         raise RegionError("restricted boundary squares to nonzero")
     return out
 
 
-def filtration_subcomplex(x: F2Complex, max_level: int) -> F2Complex:
+def filtration_subcomplex(x: Located, max_level: int) -> Located:
     """Points with level <= max_level; a subcomplex since boundaries drop levels."""
     if x.filtration is None:
         raise RegionError("complex carries no filtration")
     return _restrict(x, [k for k in range(x.dim) if x.filtration[k] <= max_level])
 
 
-def filtration_quotient(x: F2Complex, min_level: int) -> F2Complex:
+def filtration_quotient(x: Located, min_level: int) -> Located:
     """Quotient by the subcomplex below min_level; points with level >= min_level."""
     if x.filtration is None:
         raise RegionError("complex carries no filtration")
     return _restrict(x, [k for k in range(x.dim) if x.filtration[k] >= min_level])
 
 
-def leveled_region(complex, region: Region, route=None) -> F2Complex:
+def leveled_region(complex, region: Region, route=None) -> Located:
     """The region realized from its definition, in ascending route level.
 
     Each generator's point is found by scanning its diagonal with
@@ -397,7 +414,7 @@ def leveled_region(complex, region: Region, route=None) -> F2Complex:
     """
     shape, t, clip = region.shape, region.level, region.clip
     reach = abs(t) + complex.genus_bound + 1
-    located = {}
+    spot = {}
     for g in complex.generators:
         found = [
             (i, i + g.alexander)
@@ -406,22 +423,22 @@ def leveled_region(complex, region: Region, route=None) -> F2Complex:
         ]
         assert len(found) <= 1, (g, region)
         if found:
-            located[g.id] = found[0]
-    order = [g.id for g in complex.generators if g.id in located]
+            spot[g.id] = found[0]
+    order = [g.id for g in complex.generators if g.id in spot]
     if route is not None:
-        order.sort(key=lambda gid: route(shape, t, *located[gid]))
+        order.sort(key=lambda gid: route(shape, t, *spot[gid]))
     position = {gid: k for k, gid in enumerate(order)}
     alexander = {g.id: g.alexander for g in complex.generators}
     cols = [0] * len(order)
     for e in complex.differential:
-        if e.src in located:
-            i = located[e.src][0] - e.upower
+        if e.src in spot:
+            i = spot[e.src][0] - e.upower
             if region_reference(shape, t, clip, i, i + alexander[e.dst]):
                 cols[position[e.src]] ^= 1 << position[e.dst]
-    x = with_points(tuple(LatticePoint(gid, *located[gid]) for gid in order), cols)
+    x = Located(tuple(cols), None, tuple(LatticePoint(gid, *spot[gid]) for gid in order))
     if route is None:
         return x
-    return with_filtration(x, tuple(route(shape, t, *located[gid]) for gid in order))
+    return with_filtration(x, tuple(route(shape, t, *spot[gid]) for gid in order))
 
 
 def a1_surgery_by_walk(complex, n: int) -> int:
@@ -434,10 +451,10 @@ def a1_surgery_by_walk(complex, n: int) -> int:
     if eps == 0:
         return 0
     t = tau_by_walk(complex)
-    column = realize(complex, Region("vertical", 0))
+    column = located(complex, Region("vertical", 0))
 
     if eps == -1:
-        hook = realize(complex, Region("hook", t))
+        hook = located(complex, Region("hook", t))
         hook = with_filtration(hook, tuple(hook_step(p.i, n) for p in hook.points))
         for m in range(0, 2 * g + 3):
             quotient = filtration_quotient(hook, -m)
@@ -446,7 +463,7 @@ def a1_surgery_by_walk(complex, n: int) -> int:
             if is_trivial(f):
                 return -m
     else:
-        lhook = realize(complex, Region("lhook", t))
+        lhook = located(complex, Region("lhook", t))
         lhook = with_filtration(lhook, tuple(lhook_step(p.i, n) for p in lhook.points))
         for m in range(0, 2 * g + 3):
             sublevel = filtration_subcomplex(lhook, m)

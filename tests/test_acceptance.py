@@ -107,7 +107,8 @@ def test_criterion_4_i_filtration():
         g = c.genus_bound
         n = 2 * g + 1
         for m in range(-g, g + 1):
-            for p in realize(c, Region("hook", m)).points:
+            hook = Region("hook", m)
+            for p in hook.lattice_points(c, realize(c, hook).index):
                 second = meridian_filtration(p.i, p.j, m, n).second
                 assert second == hook_step(p.i, n) == p.i, (name, m, p)
             cases += 1

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cfk import cli
+from cfk import cli, suite
 from cfk.cli import main
 from cfk.builders import build_library
 from cfk.complexes import parse, serialize
@@ -179,6 +179,42 @@ def test_parameter_errors_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("below, bound, above", [
+    ("2,3;2,1", 2, "2,3;2,3"),
+    ("2,3;3,2", 3, "2,3;3,4"),
+    ("2,5;2,5", 6, "2,5;2,7"),
+])
+def test_cable_below_the_l_space_bound_exits_1(capsys, below, bound, above):
+    # for R >= 2 the (R,S)-cable of an L-space knot of genus g is one only
+    # when S >= R(2g - 1); below it no staircase may bear the cable's name
+    code, out, err = run(capsys, "staircase", "--cable", below)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"S >= R(2g - 1) = {bound}" in err
+    assert run(capsys, "staircase", "--cable", above)[0] == 0
+
+
+def test_point_readers_realize_nothing(capsys, monkeypatch):
+    # cfk filtration and step-level-consistency read the unclipped hook's
+    # points off the gradings: it holds every generator once, in generator
+    # order, so neither realizes a region
+    calls = []
+
+    def counted(*args, real=cli.realize):
+        calls.append(args)
+        return real(*args)
+
+    for module in (cli, suite):
+        monkeypatch.setattr(module, "realize", counted)
+    code, out, _ = run(capsys, "filtration", "--knot", "T(2,9)", "--m", "0", "--n", "2",
+                       "--format", "json")
+    assert code == 0
+    generators = build_library()["T(2,9)"].generators
+    assert [row["gen"] for row in json.loads(out)] == [g.id for g in generators]
+    cases, failures = suite.prop_step_level_consistency(suite.SuiteContext(5))
+    assert cases > 0 and not failures
+    assert calls == []
 
 
 @pytest.mark.parametrize("option", ["--torus", "--cable"])

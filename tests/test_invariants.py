@@ -96,8 +96,8 @@ def test_step_levels_match_filtration_second_coordinate(library):
     for c in library.values():
         g = c.genus_bound
         for m in (-g, 0, g):
-            hook = realize(c, Region("hook", m)).points
-            lhook = realize(c, Region("lhook", m)).points
+            regions = Region("hook", m), Region("lhook", m)
+            hook, lhook = (r.lattice_points(c, realize(c, r).index) for r in regions)
             for n in (1, 2, 3, 2 * g + 1):
                 level = _by_steps(n)
                 for p in hook:
@@ -280,7 +280,9 @@ def test_cutoffs_match_walks():
 def test_step_reader_matches_the_walk_at_every_n():
     # a1_surgery's reader below its n > 2g guard, where the arm's step levels
     # saturate and the two routes no longer read the same levels; equal
-    # structures under different names are checked once
+    # structures under different names are checked once.  At every n >= 1
+    # the reader also keeps the small-n law: it is a1 cut off at n,
+    # eps * min(|a1|, n), which past 2g is a1 itself
     pool = []
     for c in build_library().values():
         pool += [c, mirror(c)]
@@ -290,10 +292,13 @@ def test_step_reader_matches_the_walk_at_every_n():
             pool += [c, mirror(c)]
     truncated = 0
     for c in dict.fromkeys(pool):
-        a1 = a1_algebraic(c)
-        for n in range(1, 2 * c.genus_bound + 1):
-            assert _a1(c, _by_steps(n), epsilon(c)) == a1_surgery_by_walk(c, n), (c.name, n)
-            truncated += abs(a1) > n
+        eps, a1 = epsilon(c), a1_algebraic(c)
+        for n in range(1, 2 * c.genus_bound + 3):
+            got = _a1(c, _by_steps(n), eps)
+            assert got == eps * min(abs(a1), n), (c.name, n)
+            if n <= 2 * c.genus_bound:
+                assert got == a1_surgery_by_walk(c, n), (c.name, n)
+                truncated += abs(a1) > n
     assert truncated > 0
 
 

@@ -74,8 +74,8 @@ def test_euler_property_reads_the_representatives_parity(monkeypatch, trefoil):
     ctx = SimpleNamespace(pool=[trefoil])
     assert prop_euler_characteristic(ctx) == (1, [])
     x, _ = column(trefoil)
-    odd = [p.gen for p in x.points].index("b1")
-    monkeypatch.setattr(suite, "column", lambda c: (x, HomologyResult(1, (1 << odd,))))
+    odd = [trefoil.generators[k].id for k in x.index].index("b1")
+    monkeypatch.setattr(suite, "column", lambda c: (x, HomologyResult((1 << odd,))))
     cases, failures = prop_euler_characteristic(ctx)
     assert cases == 1 and len(failures) == 1
     assert "euler characteristic mismatch" in failures[0]
