@@ -10,9 +10,9 @@ All structural operations return new immutable values.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
@@ -115,9 +115,10 @@ class CfkComplex:
         generators are sorted by descending grading, so each grading holds
         one contiguous index range."""
         out, start = [], 0
-        for a, count in sorted(Counter(self.gradings).items(), reverse=True):
-            out.append((a, start, start + count))
-            start += count
+        for a, run in groupby(self.gradings):
+            stop = start + sum(1 for _ in run)
+            out.append((a, start, stop))
+            start = stop
         return tuple(out)
 
     @cached_property
@@ -184,31 +185,31 @@ def validate(complex: CfkComplex) -> ValidationReport:
     """
     rep = ValidationReport()
     gens, alex, arrows = complex.generators, complex.gradings, complex.arrows
-    entries = [(s, d, u) for s, out in enumerate(arrows) for d, u in out]
-    rises = [(s, d, u) for s, d, u in entries if alex[d] > alex[s] + u]
-    rep._record("alexander-rule", [
-        f"entry {s}->{d} U^{u}: alexander grading rises" for s, d, u, _ in _named(gens, rises)
-    ])
-
-    if complex.maslov_present:
-        m = [g.maslov for g in gens]
-        bad = [(s, d, u) for s, d, u in entries if m[d] != m[s] - 1 + 2 * u]
-        rep._record("maslov-rule", [
-            f"entry {s}->{d} U^{u}: maslov {m[k[1]]} != {m[k[0]] - 1 + 2 * u}"
-            for s, d, u, k in _named(gens, bad)
-        ])
-
-    # d^2 = 0 as U-monomials: every composite term occurs an even number of
-    # times, so each (source, U power)'s XOR bitset of targets ends at zero.
-    # This is the symbolic check, independent of any lattice realization.
-    survivors = []
+    m = [g.maslov for g in gens] if complex.maslov_present else None
+    # One pass over the entries checks both rules and d^2 = 0 as U-monomials:
+    # every composite term occurs an even number of times, so each (source,
+    # U power)'s XOR bitset of targets ends at zero.  This is the symbolic
+    # check, independent of any lattice realization.
+    rises, bad, survivors = [], [], []
     for s, out in enumerate(arrows):
         parity: dict[int, int] = {}
         for d, u in out:
+            if alex[d] > alex[s] + u:
+                rises.append((s, d, u))
+            if m is not None and m[d] != m[s] - 1 + 2 * u:
+                bad.append((s, d, u))
             for t, v in arrows[d]:
                 parity[u + v] = parity.get(u + v, 0) ^ 1 << t
         survivors += [(s, t, u) for u, bits in parity.items() if bits
                       for t in range(bits.bit_length()) if bits >> t & 1]
+    rep._record("alexander-rule", [
+        f"entry {s}->{d} U^{u}: alexander grading rises" for s, d, u, _ in _named(gens, rises)
+    ])
+    if m is not None:
+        rep._record("maslov-rule", [
+            f"entry {s}->{d} U^{u}: maslov {m[k[1]]} != {m[k[0]] - 1 + 2 * u}"
+            for s, d, u, k in _named(gens, bad)
+        ])
     rep._record("d-squared", [
         f"d^2 term {s}->{t} U^{u} survives" for s, t, u, _ in _named(gens, survivors)
     ])
@@ -222,8 +223,8 @@ def validate(complex: CfkComplex) -> ValidationReport:
             [] if dim == 1 else [f"vertical homology has dimension {dim}, expected 1"],
         )
 
-    alex = sorted(g.alexander for g in complex.generators)
-    if alex != sorted(-a for a in alex):
+    sizes = {a: stop - start for a, start, stop in complex.blocks}
+    if any(sizes.get(-a) != size for a, size in sizes.items()):
         rep.warnings.append("alexander gradings are not symmetric under negation")
 
     return rep

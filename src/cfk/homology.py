@@ -9,10 +9,10 @@ once.  A realization holds only what a reduction reads: columns, levels
 and generator indices (Region.lattice_points names the points).  A region
 is a subquotient, so its d^2 = 0 follows from the complex's, which
 validate checks.  Chains are int bitsets over the basis (see gf2);
-homology representatives are read off the pivots of one deterministic
-reduction in basis order, so fixtures stay stable.  There are no chain
-maps here: the death reader in invariants applies its same-point maps as
-plain column lists.
+homology representatives and their dual cocycles are read off the pivots
+of one deterministic reduction in basis order, so fixtures stay stable.
+There are no chain maps here: the death reader in invariants applies its
+same-point maps as plain column lists.
 """
 
 from __future__ import annotations
@@ -99,6 +99,7 @@ def realize(complex: CfkComplex, region: Region, level: Level | None = None) -> 
 @dataclass(frozen=True)
 class HomologyResult:
     representatives: tuple[int, ...]  # cycle bitmasks over the basis
+    cocycles: tuple[int, ...]  # the cocycle dual to each representative
 
     @property
     def dimension(self) -> int:
@@ -106,20 +107,30 @@ class HomologyResult:
 
 
 def homology(x: F2Complex) -> HomologyResult:
-    """Kernel-mod-image over the two-element field.
+    """Kernel-mod-image over the two-element field, with the dual cocycles.
 
     Representatives are the kernel vectors whose top index is no pivot of
     the boundary image; pivots are highest bits.  A kernel vector is
     homologous to a combination of earlier ones exactly when some boundary
     has its top index, so these are the vectors that the greedy choice
-    keeps when it extends the image basis with each kernel vector in order,
-    read off the one reduction that split the columns.
+    keeps when it extends the image basis with each kernel vector in order.
+    The cocycle of a representative with top index p reads bit p of a vector
+    reduced by the image basis, so it vanishes on boundaries, is 1 on its
+    representative and 0 on earlier ones: bit p, and bit q at each pivot q
+    whose basis vector meets its lower bits an odd number of times.
     Not cached: every cache in cfk is keyed on the knot complex plus small
     values, and a realization is not one.
     """
     basis, kernel = gf2.image_and_kernel(list(x.boundary))
+    pivots = sorted(basis.by_pivot.items())
     reps = [z for z in kernel if z.bit_length() - 1 not in basis.by_pivot]
-    return HomologyResult(tuple(reps))
+    cocycles = []
+    for z in reps:
+        phi = 1 << z.bit_length() - 1
+        for q, (v, _) in pivots:  # ascending; pivots below phi's bit never meet it
+            phi |= ((v & phi).bit_count() & 1) << q
+        cocycles.append(phi)
+    return HomologyResult(tuple(reps), tuple(cocycles))
 
 
 def _by_j(shape: str, t: int, i: int, j: int) -> int:

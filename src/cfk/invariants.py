@@ -15,11 +15,12 @@ Each cutoff family is a filtration of one complex, so every cutoff is read
 off one filtered reduction (persistence) instead of one homology per
 level: the column by j for tau, the lhook by level for positive a1.  The
 hook families are quotients, whose duals are subcomplexes, so negative a1
-reduces the dual (cochain) complex and tracks cocycles.  epsilon asks
-whether the maps die at all, so it reads which of the two algebraic
-reductions finds a level.  Both routes read a1 through one signed
-reader, _a1, which is given epsilon's sign and reads the level at which
-the map of that sign dies.
+reduces the dual (cochain) hook and pulls back the cocycles of the
+column's own reduction: a cold report eliminates the column, the lhook
+and the dual hook.  epsilon asks whether the maps die at all, so it reads
+which of the two algebraic reductions finds a level.  Both routes read a1
+through one signed reader, _a1, which is given epsilon's sign and reads
+the level at which the map of that sign dies.
 
 Caches are keyed on the knot complex plus small values, never on a chain
 complex, and cfk has three: realize on (complex, region, level),
@@ -41,7 +42,7 @@ from typing import NamedTuple
 
 from . import gf2
 from .complexes import CfkComplex, CfkError, ParameterError
-from .homology import Level, column, dual, homology, realize
+from .homology import Level, column, dual, realize
 from .regions import Region
 
 
@@ -115,10 +116,10 @@ def _death(complex: CfkComplex, shape: str, route: Level) -> _Death:
     have their own column as top bit, so the top bit of the combo that
     writes f(z) as a boundary is the last column needed; the level is None
     when some f(z) is not a boundary.  On the hook, g: hook -> column dies
-    at a quotient, read off the duals: the same-point map into the dual
-    hook, reduced in descending level, dies on cohomology exactly when g
-    dies on homology.  The reduction also gives the target's homology
-    dimension, kernel size minus rank.
+    at a quotient, read off the duals: the same-point map of the column's
+    cocycles into the dual hook, reduced in descending level, dies on
+    cohomology exactly when g dies on homology.  The reduction also gives
+    the target's homology dimension, kernel size minus rank.
 
     f is a plain column list, not a checked chain map: a same-point map
     between regions commutes with the boundaries by the region theory, and
@@ -138,12 +139,9 @@ def _death(complex: CfkComplex, shape: str, route: Level) -> _Death:
     target = realize(complex, region, route)
     reps, cols, levels, sign = h.representatives, target.boundary, target.filtration, 1
     if shape == "hook":
-        reps = homology(dual(source)).representatives
-        cols, levels, sign = dual(target).boundary[::-1], levels[::-1], -1
+        reps, cols, levels, sign = h.cocycles, dual(target).boundary[::-1], levels[::-1], -1
     same = {a for a, p in at.items() if p == (0, a)}  # gradings whose points coincide
-    where = [0] * len(grades)
-    for k, g in enumerate(target.index):
-        where[g] = k
+    where = {g: k for k, g in enumerate(target.index)}
     f = [1 << where[g] if grades[g] in same else 0 for g in source.index]
     basis, kernel = gf2.image_and_kernel(list(cols))
     dim = len(kernel) - basis.rank

@@ -7,9 +7,10 @@ something that cannot share their bugs.  Enumeration is exponential, so
 callers keep dimensions small.  The linear scan is the elimination the
 package used before its pivot-indexed kernel: lowest-bit pivots, every
 basis vector visited in turn, and representatives picked by a second
-reduction.  insert is the one-call-per-column insertion that
-image_and_kernel inlines, kept as its reference.  The cutoff walks do share the elimination: they are
-independent in search strategy instead, realizing one clipped region or
+reduction; run on the transposed boundary, it gives reference cocycles.
+insert is the one-call-per-column insertion that image_and_kernel
+inlines, kept as its reference.  The cutoff walks do share the
+elimination: they are independent in search strategy instead, realizing one clipped region or
 filtration piece per level and asking whether a map between plain
 complexes is zero on homology, where the package reads every cutoff, and
 epsilon, off one filtered reduction.  The walks own their chain maps and
@@ -215,6 +216,28 @@ def greedy_representatives(cols: list[int]) -> tuple[int, ...]:
             basis.append((v & -v, v, 0))
             reps.append(z)
     return tuple(reps)
+
+
+def transpose(cols: list[int]) -> list[int]:
+    """The transposed square matrix, bit by bit: row r becomes column r."""
+    rows = [0] * len(cols)
+    for k, col in enumerate(cols):
+        for r in range(len(cols)):
+            if col >> r & 1:
+                rows[r] |= 1 << k
+    return rows
+
+
+def reference_cocycles(cols: list[int]) -> tuple[int, ...]:
+    """Cohomology representatives as homology(dual(x)) gives them: the greedy
+    representatives of the transposed boundary, by the linear scan."""
+    return greedy_representatives(transpose(cols))
+
+
+def is_coboundary(cols: list[int], phi: int) -> bool:
+    """phi = psi . d for some cochain psi: phi lies in the span of the rows."""
+    basis, _ = scan_image_and_kernel(transpose(cols))
+    return scan_reduce(basis, phi)[0] == 0
 
 
 # -- cutoff walks: one realization and one homology per level ------------------

@@ -226,6 +226,15 @@ def test_asymmetric_gradings_warn_only():
     rep = validate(c)
     assert rep.ok
     assert rep.warnings
+    # the set of gradings {-1, 1} is symmetric, their counts 2 and 1 are not
+    uneven = CfkComplex(
+        "uneven",
+        (Generator("a", 1), Generator("b", 1), Generator("c", -1)),
+        (DiffEntry("a", "b", 0),),
+    )
+    rep = validate(uneven)
+    assert rep.ok
+    assert rep.warnings == ["alexander gradings are not symmetric under negation"]
 
 
 def test_maslov_is_optional():

@@ -4,7 +4,7 @@ from cfk import gf2
 from cfk.builders import random_model
 from cfk.complexes import mirror, tensor
 from cfk.homology import F2Complex, column, dual, homology, realize
-from cfk.invariants import invariants
+from cfk.invariants import invariants, tau
 from cfk.regions import Region
 
 from oracles import (
@@ -13,6 +13,8 @@ from oracles import (
     greedy_representatives,
     insert,
     insert_image_and_kernel,
+    is_coboundary,
+    reference_cocycles,
     scan_image_and_kernel,
     scan_reduce,
 )
@@ -150,16 +152,66 @@ def test_inlined_kernel_matches_the_insert_loop(t29, monkeypatch, cold_caches):
         x = F2Complex(tuple(random_boundary(rng, rng.randint(1, 24))))
         assert_same_elimination(list(x.boundary))
         assert_same_elimination(list(dual(x).boundary))
-    # the four matrices of a cold report on the 729 generators of T(2,9)^{#3}
+    # the three matrices of a cold report on the 729 generators of
+    # T(2,9)^{#3}: the column, the lhook and the dual hook
     matrices = []
     kernel = gf2.image_and_kernel
     monkeypatch.setattr(gf2, "image_and_kernel", lambda cols: matrices.append(cols) or kernel(cols))
     big = tensor(tensor(t29, t29), t29)
     invariants(big)
     monkeypatch.undo()
-    assert [len(cols) for cols in matrices] == [729] * 4
+    assert [len(cols) for cols in matrices] == [729] * 3
     for cols in matrices:
         assert_same_elimination(cols)
+
+
+def pairing(phi: int, z: int) -> int:
+    return (phi & z).bit_count() & 1
+
+
+def assert_cocycle_laws(x: F2Complex) -> int:
+    """Check the cocycles of x against the three laws; return its dimension."""
+    cols = list(x.boundary)
+    h = homology(x)
+    reps, phis = h.representatives, h.cocycles
+    assert len(phis) == len(reps)
+    # a cocycle vanishes on every boundary
+    assert not any(pairing(phi, b) for phi in phis for b in cols)
+    # phi_k(z_l) is 1 at l = k and 0 at l < k: the pairing is unitriangular
+    rows = [sum(pairing(phi, z) << l for l, z in enumerate(reps)) for phi in phis]
+    assert all(row & ((2 << k) - 1) == 1 << k for k, row in enumerate(rows))
+    # each phi is cohomologous to the reference cocycle that pairs with the
+    # representatives as it does
+    ref = reference_cocycles(cols)
+    assert len(ref) == len(reps)
+    ref_pairings, _ = scan_image_and_kernel(
+        [sum(pairing(r, z) << l for l, z in enumerate(reps)) for r in ref]
+    )
+    for phi, row in zip(phis, rows):
+        remainder, combo = scan_reduce(ref_pairings, row)
+        assert remainder == 0
+        psi = 0
+        for i, r in enumerate(ref):
+            if combo >> i & 1:
+                psi ^= r
+        assert is_coboundary(cols, phi ^ psi)
+    return len(reps)
+
+
+def test_cocycles_are_dual_to_the_representatives(library):
+    rng = random.Random(23)
+    pool = list(library.values())
+    for seed in range(40):
+        pool += [random_model(seed), mirror(random_model(seed))]
+    complexes = []
+    for c in pool:
+        t = tau(c)
+        complexes += [column(c)[0], realize(c, Region("hook", t)), realize(c, Region("lhook", t))]
+    complexes += [F2Complex(tuple(random_boundary(rng, rng.randint(1, 24)))) for _ in range(300)]
+    dims = [assert_cocycle_laws(y) for x in complexes for y in (x, dual(x))]
+    assert len(dims) == 2 * (3 * len(pool) + 300)
+    # the pairing rows are matched in more than one dimension
+    assert sum(d > 1 for d in dims) > 100
 
 
 def test_kernel_matches_linear_scan_on_regions():

@@ -319,15 +319,16 @@ def test_cfk_has_three_caches(cold_caches):
 
 
 def test_report_cost_and_route_sharing(library, monkeypatch, cold_caches):
-    # four eliminations per cold report: the column, its dual, the lhook and
-    # the dual hook; the surgery route's miss reads the algebraic entry
+    # three eliminations per cold report: the column, the lhook and the dual
+    # hook, which pulls back the column's own cocycles; the surgery route's
+    # miss reads the algebraic entry
     calls = []
     kernel = gf2.image_and_kernel
     monkeypatch.setattr(gf2, "image_and_kernel", lambda cols: calls.append(1) or kernel(cols))
     c = library["T(2,9)"]
     n = 2 * c.genus_bound + 1
     invariants(c)
-    assert len(calls) == 4
+    assert len(calls) == 3
     after_report = _death.cache_info()
     # misses: the lhook and hook by i, the lhook by steps; hits: the lhook by
     # steps reading the lhook by i, and the algebraic a1 reading it again
@@ -363,8 +364,8 @@ def test_step_routes_are_values():
 
 def test_validate_and_report_share_one_column(library, monkeypatch, cold_caches):
     # validate's rank check reads the column the report reads, so a cold
-    # validate then report builds four bases: the column, its dual, the
-    # lhook and the dual hook
+    # validate then report builds three bases: the column, the lhook and
+    # the dual hook
     built = []
 
     class CountingBasis(gf2.XorBasis):
@@ -376,7 +377,7 @@ def test_validate_and_report_share_one_column(library, monkeypatch, cold_caches)
     c = library["T(2,9)"]
     assert validate(c).ok
     invariants(c)
-    assert len(built) == 4
+    assert len(built) == 3
     assert column.cache_info().misses == 1
 
 
