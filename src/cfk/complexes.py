@@ -217,7 +217,7 @@ def validate(complex: CfkComplex) -> ValidationReport:
     if rep.checks["alexander-rule"] and rep.checks["d-squared"]:
         from .homology import column
 
-        dim = column(complex)[1].dimension
+        dim = column(complex).homology.dimension
         rep._record(
             "vertical-homology-rank",
             [] if dim == 1 else [f"vertical homology has dimension {dim}, expected 1"],

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import gf2
 from .complexes import CfkComplex
@@ -47,7 +47,7 @@ class F2Complex:
         return len(self.boundary)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=0)
 def realize(complex: CfkComplex, region: Region, level: Level | None = None) -> F2Complex:
     """Subquotient complex spanned by the region's occupied lattice points.
 
@@ -60,7 +60,7 @@ def realize(complex: CfkComplex, region: Region, level: Level | None = None) -> 
     generator order) and RegionError is raised when a boundary raises the
     level, so each sublevel set is a prefix and one reduction reads every
     cutoff.  The highest target of a column has the highest level, so that
-    is the one compared.
+    is the one compared.  Nothing reads one twice, so none is cached.
     """
     if not isinstance(region, Region):
         raise RegionError(f"unknown region kind: {region!r}")
@@ -96,8 +96,7 @@ def realize(complex: CfkComplex, region: Region, level: Level | None = None) -> 
     return F2Complex(tuple(boundary), tuple(levels) if level else None, tuple(keep))
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(NamedTuple):
     representatives: tuple[int, ...]  # cycle bitmasks over the basis
     cocycles: tuple[int, ...]  # the cocycle dual to each representative
 
@@ -118,8 +117,6 @@ def homology(x: F2Complex) -> HomologyResult:
     reduced by the image basis, so it vanishes on boundaries, is 1 on its
     representative and 0 on earlier ones: bit p, and bit q at each pivot q
     whose basis vector meets its lower bits an odd number of times.
-    Not cached: every cache in cfk is keyed on the knot complex plus small
-    values, and a realization is not one.
     """
     basis, kernel = gf2.image_and_kernel(list(x.boundary))
     pivots = sorted(basis.by_pivot.items())
@@ -138,18 +135,21 @@ def _by_j(shape: str, t: int, i: int, j: int) -> int:
     return j
 
 
+Column = NamedTuple("Column", [("levels", tuple), ("index", tuple), ("homology", HomologyResult)])
+
+
 @lru_cache(maxsize=4096)
-def column(complex: CfkComplex) -> tuple[F2Complex, HomologyResult]:
-    """The column at i = 0, realized in ascending j, and its homology.
+def column(complex: CfkComplex) -> Column:
+    """The column at i = 0, realized in ascending j: levels, generator indices, homology.
 
     The one reduction of the column: validate's rank check, tau, the death
     reader, the suite's Euler characteristic and the report's vertical
-    dimension all read it.  It raises RegionError when a U^0 entry breaks
-    the Alexander rule; validate reads it only once that rule and d^2 = 0
-    have passed.
+    dimension all read it, and none reads its boundary, which is not kept.
+    It raises RegionError when a U^0 entry breaks the Alexander rule;
+    validate reads it only once that rule and d^2 = 0 have passed.
     """
     x = realize(complex, Region("vertical", 0), _by_j)
-    return x, homology(x)
+    return Column(x.filtration, x.index, homology(x))
 
 
 def dual(x: F2Complex) -> F2Complex:

@@ -23,13 +23,13 @@ through one signed reader, _a1, which is given epsilon's sign and reads
 the level at which the map of that sign dies.
 
 Caches are keyed on the knot complex plus small values, never on a chain
-complex, and cfk has three: realize on (complex, region, level),
-homology.column on the complex, and the death reader here on (complex,
-shape, route).  A route is a hashable value, _by_i or _by_steps(n), so a
-repeated read costs one cache lookup and never re-levels a region.  On a
-miss, a route that gives i on every grading's point reads the _by_i
-entry, so the surgery route shares the algebraic route's reductions
-wherever the two agree.  tau,
+complex, and cfk has two: homology.column on the complex, which keeps no
+boundary, and the death reader here on (complex, shape, route); realize
+caches nothing, so a realization lives only while it is read.  A route is
+a hashable value, _by_i or _by_steps(n), so a repeated read costs one
+cache lookup and never re-levels a region.  On a miss, a route that gives
+i on every grading's point reads the _by_i entry, so the surgery route
+shares the algebraic route's reductions wherever the two agree.  tau,
 epsilon and a1 are plain reads of those entries, and a report reads the
 two algebraic deaths once, for epsilon and the hook dimensions.
 """
@@ -135,14 +135,14 @@ def _death(complex: CfkComplex, shape: str, route: Level) -> _Death:
     at = {a: region.point(a) for a in set(grades)}
     if route is not _by_i and all(route(shape, t, i, j) == i for i, j in at.values()):
         return _death(complex, shape, _by_i)
-    source, h = column(complex)
+    _, column_index, h = column(complex)
     target = realize(complex, region, route)
     reps, cols, levels, sign = h.representatives, target.boundary, target.filtration, 1
     if shape == "hook":
         reps, cols, levels, sign = h.cocycles, dual(target).boundary[::-1], levels[::-1], -1
     same = {a for a, p in at.items() if p == (0, a)}  # gradings whose points coincide
     where = {g: k for k, g in enumerate(target.index)}
-    f = [1 << where[g] if grades[g] in same else 0 for g in source.index]
+    f = [1 << where[g] if grades[g] in same else 0 for g in column_index]
     basis, kernel = gf2.image_and_kernel(list(cols))
     dim = len(kernel) - basis.rank
     last = -1
@@ -162,10 +162,10 @@ def tau(complex: CfkComplex) -> int:
     cycle in j order that is not a boundary, and tau is the j of its top
     basis point, so |tau| <= g.
     """
-    by_j, h = column(complex)
+    levels, _, h = column(complex)
     if not h.representatives:
         raise SearchExhausted("the column has no homology generator; complex invalid")
-    return by_j.filtration[h.representatives[0].bit_length() - 1]
+    return levels[h.representatives[0].bit_length() - 1]
 
 
 def _algebraic(complex: CfkComplex) -> tuple[int, _Death, _Death]:
@@ -277,7 +277,7 @@ def invariants(complex: CfkComplex, n: int | None = None) -> InvariantReport:
     if (a1 > 0) - (a1 < 0) != eps:
         raise InvariantViolation(f"sgn(a1) != epsilon on {complex.name}")
     dims = {
-        "vertical": column(complex)[1].dimension,
+        "vertical": column(complex).homology.dimension,
         "hook": hook.target_dim,
         "lhook": lhook.target_dim,
     }

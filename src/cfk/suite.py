@@ -93,7 +93,7 @@ def prop_slice_dim_one(ctx: SuiteContext) -> tuple[int, list[str]]:
     # reads the cached column reduction that validate's rank check made
     failures = []
     for c in ctx.pool:
-        dim = column(c)[1].dimension
+        dim = column(c).homology.dimension
         if dim != 1:
             failures.append(_offender(c, f"column homology dimension {dim}"))
     return len(ctx.pool), failures
@@ -126,10 +126,10 @@ def prop_euler_characteristic(ctx: SuiteContext) -> tuple[int, list[str]]:
     failures = []
     graded = [c for c in ctx.pool if c.maslov_present]
     for c in graded:
-        x, h = column(c)
+        _, index, h = column(c)
         sign = [1 - 2 * (g.maslov % 2) for g in c.generators]  # by generator index
-        chi = sum(sign[k] for k in x.index)
-        counted = sum(sign[x.index[z.bit_length() - 1]] for z in h.representatives)
+        chi = sum(sign[k] for k in index)
+        counted = sum(sign[index[z.bit_length() - 1]] for z in h.representatives)
         if counted != chi:
             failures.append(_offender(c, "euler characteristic mismatch on the column"))
     return len(graded), failures

@@ -101,7 +101,7 @@ def test_cable_frozen_value():
 
 def test_box_is_acyclic_everywhere():
     b = box()
-    assert column(b)[1].dimension == 0
+    assert column(b).homology.dimension == 0
     # vertical edges only in a column; horizontal edges only deep in the arm
     assert homology(realize(b, Region("vertical", 0))).dimension == 0
     assert homology(realize(b, Region("hook", -3))).dimension == 0

@@ -28,7 +28,7 @@ from cfk.invariants import (
     tau,
 )
 from cfk.regions import Region
-from cfk.homology import column, homology, realize
+from cfk.homology import F2Complex, column, homology, realize
 from cfk.suite import SuiteContext, prop_i_filtration
 
 from oracles import (
@@ -314,7 +314,20 @@ def test_cost_does_not_grow_with_genus(cold_caches):
     assert misses[0] == misses[1]
 
 
-def test_cfk_has_three_caches(cold_caches):
+def test_reports_keep_no_realization(library, cold_caches):
+    # realize caches nothing, so a cold validate plus report keeps none of
+    # the column, lhook and hook it realizes; the cached column holds no
+    # boundary, and the three caches are the column, the death reader and
+    # realize's counting wrapper
+    for c in (library["T(2,9)"], library["-T(2,3;2,5)"]):
+        cold_caches()
+        assert validate(c).ok
+        invariants(c)
+        info = realize.cache_info()
+        assert (info.currsize, info.misses) == (0, 3)
+        assert column(c)._fields == ("levels", "index", "homology")
+        assert not any(isinstance(v, F2Complex) for v in column(c))
+        assert column.cache_info().misses == 1
     assert [f.__name__ for f in cold_caches()] == ["_death", "column", "realize"]
 
 

@@ -73,9 +73,10 @@ def test_euler_property_reads_the_representatives_parity(monkeypatch, trefoil):
     # whose representative's top point is the odd b1 must be reported.
     ctx = SimpleNamespace(pool=[trefoil])
     assert prop_euler_characteristic(ctx) == (1, [])
-    x, _ = column(trefoil)
-    odd = [trefoil.generators[k].id for k in x.index].index("b1")
-    monkeypatch.setattr(suite, "column", lambda c: (x, HomologyResult((1 << odd,), (1 << odd,))))
+    col = column(trefoil)
+    odd = [trefoil.generators[k].id for k in col.index].index("b1")
+    wrong = col._replace(homology=HomologyResult((1 << odd,), (1 << odd,)))
+    monkeypatch.setattr(suite, "column", lambda c: wrong)
     cases, failures = prop_euler_characteristic(ctx)
     assert cases == 1 and len(failures) == 1
     assert "euler characteristic mismatch" in failures[0]
