@@ -143,11 +143,21 @@ def _read_jumps(member: list[bool], genus: int) -> AlexanderExponents:
     return AlexanderExponents(tuple(m - genus for m in jumps))
 
 
-def _check_coprime(p: int, q: int) -> None:
+# The largest genus a builder builds, or the suite takes an extra file at:
+# builders allocate by genus and some suite properties loop over [-g, g].
+MAX_GENUS = 100_000
+
+
+def _cable_genus(p: int, q: int, g: int = 0) -> int:
+    """Genus of the (p, q)-cable of a genus g knot, T(p, q) at g = 0, if in bounds."""
     if p < 1 or q < 1:
         raise ParameterError(f"need positive parameters, got ({p}, {q})")
     if gcd(p, q) != 1:
         raise ParameterError(f"parameters ({p}, {q}) are not coprime")
+    genus = p * g + (p - 1) * (q - 1) // 2
+    if genus > MAX_GENUS:
+        raise ParameterError(f"genus {genus} exceeds the bound {MAX_GENUS}")
+    return genus
 
 
 def torus_knot_exponents(p: int, q: int) -> AlexanderExponents:
@@ -161,8 +171,7 @@ def torus_knot_exponents(p: int, q: int) -> AlexanderExponents:
     >>> torus_knot_exponents(4, 5).exponents
     (6, 5, 2, 0, -2, -5, -6)
     """
-    _check_coprime(p, q)
-    genus = (p - 1) * (q - 1) // 2
+    genus = _cable_genus(p, q)
     member = [True]  # member[m]: m lies in S
     for m in range(1, 2 * genus + 1):
         member.append((m >= p and member[m - p]) or (m >= q and member[m - q]))
@@ -184,9 +193,8 @@ def cable_exponents(base: AlexanderExponents, p: int, q: int) -> AlexanderExpone
     >>> cable_exponents(torus_knot_exponents(2, 3), 2, 5).exponents
     (4, 3, 0, -3, -4)
     """
-    _check_coprime(p, q)
     g = base.exponents[0]
-    genus = p * g + (p - 1) * (q - 1) // 2
+    genus = _cable_genus(p, q, g)
     flips = {e + g for e in base.exponents}  # where b enters or leaves S_K
     member = [False] * (2 * genus + 1)
     for j in range(p):

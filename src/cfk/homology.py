@@ -118,9 +118,9 @@ def homology(x: F2Complex) -> HomologyResult:
     representative and 0 on earlier ones: bit p, and bit q at each pivot q
     whose basis vector meets its lower bits an odd number of times.
     """
-    basis, kernel = gf2.image_and_kernel(list(x.boundary))
-    pivots = sorted(basis.by_pivot.items())
-    reps = [z for z in kernel if z.bit_length() - 1 not in basis.by_pivot]
+    by_pivot, kernel = gf2.image_and_kernel(list(x.boundary))
+    pivots = sorted(by_pivot.items())
+    reps = [z for z in kernel if z.bit_length() - 1 not in by_pivot]
     cocycles = []
     for z in reps:
         phi = 1 << z.bit_length() - 1

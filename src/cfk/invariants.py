@@ -111,15 +111,16 @@ def _death(complex: CfkComplex, shape: str, route: Level) -> _Death:
     level s, at least 0, at which the map dies on homology.  A route that
     gives i on every grading's point reads the _by_i entry.  On the lhook,
     f: column -> {level <= s} sends a generator's column point (0, A) to
-    its point in the region when the two coincide, else to 0.  Reducing the
-    lhook's boundary in ascending level gives basis vectors whose combos
-    have their own column as top bit, so the top bit of the combo that
-    writes f(z) as a boundary is the last column needed; the level is None
-    when some f(z) is not a boundary.  On the hook, g: hook -> column dies
-    at a quotient, read off the duals: the same-point map of the column's
+    its point in the region when the two coincide, else to 0.  One reduction
+    reads it all: the lhook's n boundary columns in ascending level, each
+    f(z) appended after them.  Every combo has its own column as top bit, so
+    f(z) is a boundary exactly when it lands in the kernel, its combo's top
+    bit below n is the last column needed, and the level is None when some
+    f(z) is not a boundary.  On the hook, g: hook -> column dies at a
+    quotient, read off the duals: the same-point map of the column's
     cocycles into the dual hook, reduced in descending level, dies on
-    cohomology exactly when g dies on homology.  The reduction also gives
-    the target's homology dimension, kernel size minus rank.
+    cohomology exactly when g dies on homology.  The k kernel combos below
+    bit n give the target's homology dimension, k - (n - k).
 
     f is a plain column list, not a checked chain map: a same-point map
     between regions commutes with the boundaries by the region theory, and
@@ -143,14 +144,13 @@ def _death(complex: CfkComplex, shape: str, route: Level) -> _Death:
     same = {a for a, p in at.items() if p == (0, a)}  # gradings whose points coincide
     where = {g: k for k, g in enumerate(target.index)}
     f = [1 << where[g] if grades[g] in same else 0 for g in column_index]
-    basis, kernel = gf2.image_and_kernel(list(cols))
-    dim = len(kernel) - basis.rank
-    last = -1
-    for z in reps:
-        remainder, combo = basis.reduce(gf2.apply_columns(f, z))
-        if remainder:
-            return _Death(None, dim)
-        last = max(last, combo.bit_length() - 1)
+    n = len(cols)
+    _, kernel = gf2.image_and_kernel([*cols, *(gf2.apply_columns(f, z) for z in reps)])
+    pulled = [z & (1 << n) - 1 for z in kernel if z.bit_length() > n]
+    dim = 2 * (len(kernel) - len(pulled)) - n
+    if len(pulled) < len(reps):  # some f(z) got a pivot: it is no boundary
+        return _Death(None, dim)
+    last = max(z.bit_length() - 1 for z in pulled) if pulled else -1
     return _Death(max(0, sign * levels[last]) if last >= 0 else 0, dim)
 
 

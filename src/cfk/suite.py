@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from .builders import (
+    MAX_GENUS,
     box,
     build_library,
     random_model,
@@ -20,6 +21,7 @@ from .builders import (
 )
 from .complexes import (
     CfkComplex,
+    ParameterError,
     direct_sum,
     load_file,
     mirror,
@@ -50,6 +52,9 @@ class SuiteContext:
         self.library = build_library()
         self.randoms = [random_model(seed) for seed in range(seed_count)]
         extras = [load_file(path) for path in extra_files]
+        for c in extras:  # some properties loop over every m in [-g, g]
+            if c.genus_bound > MAX_GENUS:
+                raise ParameterError(f"extra {c.name!r}: genus bound {c.genus_bound} > {MAX_GENUS}")
         valid = [validate(c).ok for c in extras]
         self.extras = [c for c, ok in zip(extras, valid) if ok]
         # the invariants assume a valid complex, so extras that fail

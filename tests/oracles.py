@@ -9,16 +9,18 @@ package used before its pivot-indexed kernel: lowest-bit pivots, every
 basis vector visited in turn, and representatives picked by a second
 reduction; run on the transposed boundary, it gives reference cocycles.
 insert is the one-call-per-column insertion that image_and_kernel
-inlines, kept as its reference.  The cutoff walks do share the
-elimination: they are independent in search strategy instead, realizing one clipped region or
-filtration piece per level and asking whether a map between plain
-complexes is zero on homology, where the package reads every cutoff, and
-epsilon, off one filtered reduction.  The walks own their chain maps and
-filtrations: each map is checked to commute with the boundaries, each
-filtration to never be raised by a boundary, and region membership comes
-from the defining predicates, so no map or level code is shared with the
-package.  The surgery walk takes its step levels from the closed forms
-below, not from the package's cable formula.
+inlines, kept step by step on its own pivot dict as its reference.  The
+cutoff walks take a source's representatives from the package's
+homology, so that one elimination is shared; they decide boundaries with
+the linear scan.  They are independent in search strategy, realizing one
+clipped region or filtration piece per level and asking whether a map
+between plain complexes is zero on homology, where the package reads
+every cutoff, and epsilon, off one filtered reduction.  The walks own
+their chain maps and filtrations: each map is checked to commute with the
+boundaries, each filtration to never be raised by a boundary, and region
+membership comes from the defining predicates, so no map or level code is
+shared with the package.  The surgery walk takes its step levels from the
+closed forms below, not from the package's cable formula.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import NamedTuple
 
 import sympy
 
-from cfk.gf2 import XorBasis, image_and_kernel
 from cfk.homology import homology, realize
 from cfk.invariants import InvariantViolation, SearchExhausted
 from cfk.regions import LatticePoint, Region, RegionError
@@ -178,31 +179,36 @@ def scan_image_and_kernel(cols: list[int]) -> tuple[list[tuple[int, int, int]], 
     return basis, kernel
 
 
-def insert(basis: XorBasis, v: int, k: int) -> tuple[int, int]:
-    """Insert v into basis as column k; return its reduced form and combo.
+def insert(by_pivot: dict[int, tuple[int, int]], v: int, k: int) -> tuple[int, int]:
+    """Insert v into a pivot dict as column k; return its reduced form and combo.
 
-    The insertion that image_and_kernel inlines, kept method by method: v
-    starts with the combo bit k, a reduced form of 0 means v was already in
-    the span, and the combo then names earlier vectors (plus v itself) that
-    XOR to zero.
+    The insertion that image_and_kernel inlines, kept step by step: v starts
+    with the combo bit k and visits the pivots once, highest first, XORing
+    in each entry whose pivot is set in it.  An entry's vector has its pivot
+    as top bit, so it never sets a higher pivot again.  A reduced form of 0
+    means v was already in the span, and the combo then names earlier
+    vectors (plus v itself) that XOR to zero.
     """
-    v, combo = basis.reduce(v, 1 << k)
+    combo = 1 << k
+    for p in sorted(by_pivot, reverse=True):
+        if v >> p & 1:
+            bv, bc = by_pivot[p]
+            v ^= bv
+            combo ^= bc
     if v:
-        top = v.bit_length() - 1
-        basis.by_pivot[top] = (v, combo)
-        basis.mask |= 1 << top
+        by_pivot[v.bit_length() - 1] = (v, combo)
     return v, combo
 
 
-def insert_image_and_kernel(cols: list[int]) -> tuple[XorBasis, list[int]]:
+def insert_image_and_kernel(cols: list[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
     """image_and_kernel as one insert call per column."""
-    basis = XorBasis()
+    by_pivot: dict[int, tuple[int, int]] = {}
     kernel = []
     for k, c in enumerate(cols):
-        reduced, combo = insert(basis, c, k)
+        reduced, combo = insert(by_pivot, c, k)
         if not reduced:
             kernel.append(combo)
-    return basis, kernel
+    return by_pivot, kernel
 
 
 def greedy_representatives(cols: list[int]) -> tuple[int, ...]:
@@ -266,8 +272,8 @@ def located(complex, region: Region) -> Located:
 
 
 @lru_cache(maxsize=4096)
-def _boundary_span(x: Located) -> XorBasis:
-    return image_and_kernel(list(x.boundary))[0]
+def _boundary_span(x: Located) -> list[tuple[int, int, int]]:
+    return scan_image_and_kernel(list(x.boundary))[0]
 
 
 @lru_cache(maxsize=4096)
@@ -322,7 +328,7 @@ def with_filtration(x: Located, levels: tuple[int, ...]) -> Located:
 def is_trivial(f: ChainMap) -> bool:
     """Zero induced map: every source representative maps to a target boundary."""
     boundaries = _boundary_span(f.target)
-    return all(boundaries.reduce(f.apply(z))[0] == 0 for z in _representatives(f.source))
+    return all(scan_reduce(boundaries, f.apply(z))[0] == 0 for z in _representatives(f.source))
 
 
 def quotient_then_include(complex, source_region: Region, target_region: Region) -> ChainMap:

@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 
 from cfk.builders import (
+    MAX_GENUS,
     AlexanderExponents,
     box,
     cable_exponents,
@@ -13,7 +14,7 @@ from cfk.builders import (
     torus_knot_exponents,
     unknot,
 )
-from cfk.complexes import mirror, serialize, tensor, validate
+from cfk.complexes import ParameterError, mirror, serialize, tensor, validate
 from cfk.homology import column, homology, realize
 from cfk.invariants import a1_algebraic, epsilon, tau
 from cfk.regions import Region
@@ -68,6 +69,24 @@ def test_torus_rejects_bad_parameters():
         torus_knot_exponents(2, 4)
     with pytest.raises(ValueError):
         torus_knot_exponents(0, 3)
+
+
+def test_builders_refuse_a_genus_above_the_bound():
+    # the genus is read off the parameters, so nothing is allocated for it;
+    # every knot the repository builds lies far below, T(11,12) at genus 55
+    q = 2 * MAX_GENUS + 1
+    assert torus_knot_exponents(2, q).exponents[0] == MAX_GENUS
+    with pytest.raises(ParameterError, match=f"genus {MAX_GENUS + 1} exceeds"):
+        torus_knot_exponents(2, q + 2)
+    with pytest.raises(ParameterError, match="genus 449985000 exceeds"):
+        torus_knot_exponents(30000, 30001)
+    trefoil = torus_knot_exponents(2, 3)
+    assert cable_exponents(trefoil, 2, q - 4).exponents[0] == MAX_GENUS
+    with pytest.raises(ParameterError, match=f"genus {MAX_GENUS + 1} exceeds"):
+        cable_exponents(trefoil, 2, q - 2)
+    with pytest.raises(ParameterError, match="genus 40000000000 exceeds"):
+        cable_exponents(trefoil, 200000, 400001)
+    assert MAX_GENUS >= torus_knot_exponents(11, 12).exponents[0] == 55
 
 
 # the four original cases first, so their ids stay, then the grid: bases

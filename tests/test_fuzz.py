@@ -6,7 +6,9 @@ values of the wrong type), drops or duplicates a generator or an entry,
 removes a field, adds an entry between two generators, or replaces a whole
 list.  Each mutated file goes through validate, invariants, a1, realize and
 filtration; anything but a clean exit (a traceback, a bare exception) fails.
-The cable staircase builder gets four drawn integers in [-3, 12].
+The cable staircase builder gets four drawn integers in [-3, 12].  Inputs
+whose genus is far above the builders' bound run in a child process with a
+time limit and an address-space cap, and must stop with an error line.
 """
 
 import contextlib
@@ -14,10 +16,16 @@ import copy
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import cfk
 from cfk.builders import build_library
 from cfk.cli import main
 from cfk.complexes import serialize
@@ -130,3 +138,30 @@ def test_mutated_json_exits_cleanly(base, mutations, commands):
 def test_cable_staircase_exits_cleanly(params):
     p, q, r, s = params
     assert run(["staircase", "--cable", f"{p},{q};{r},{s}"]) in (0, 1, 2)
+
+
+HUGE = {"name": "huge", "generators": [{"id": "a", "alexander": 10**15, "maslov": 0}],
+        "differential": []}
+
+
+def _cap_memory():  # in the child only: an unbounded build fails fast instead
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["staircase", "--cable", "2,3;200000,400001"],
+    ["staircase", "--torus", "30000,30001"],
+    ["suite", "--seeds", "1", "huge.json"],
+])
+def test_oversized_inputs_stop_with_an_error_line(tmp_path, argv):
+    # a one-generator file with A = 10^15 is valid, but the suite's per-m
+    # loops would run over [-g, g]; the builders would allocate by genus
+    (tmp_path / "huge.json").write_text(json.dumps(HUGE), encoding="utf-8")
+    src = str(Path(cfk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys; from cfk.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and "genus" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -11,7 +11,6 @@ from oracles import (
     apply_boundary,
     d_squared_is_zero,
     greedy_representatives,
-    insert,
     insert_image_and_kernel,
     is_coboundary,
     reference_cocycles,
@@ -21,65 +20,70 @@ from oracles import (
 
 
 def test_rank_identity():
-    assert gf2.image_and_kernel([0b001, 0b010, 0b100])[0].rank == 3
+    assert len(gf2.image_and_kernel([0b001, 0b010, 0b100])[0]) == 3
 
 
 def test_rank_dependent_rows():
-    assert gf2.image_and_kernel([0b011, 0b101, 0b110])[0].rank == 2
-    assert gf2.image_and_kernel([0, 0])[0].rank == 0
-    assert gf2.XorBasis().rank == 0
+    assert len(gf2.image_and_kernel([0b011, 0b101, 0b110])[0]) == 2
+    assert gf2.image_and_kernel([0, 0]) == ({}, [0b01, 0b10])
+    assert gf2.image_and_kernel([]) == ({}, [])
 
 
 def test_image_and_kernel_counts():
     cols = [0b01, 0b01, 0b10]
-    basis, kernel = gf2.image_and_kernel(cols)
-    assert basis.rank == 2
+    by_pivot, kernel = gf2.image_and_kernel(cols)
+    assert len(by_pivot) == 2
     assert kernel == [0b011]  # first two columns are equal
 
 
 def test_kernel_members_map_to_zero():
     cols = [0b110, 0b011, 0b101, 0b000]
-    basis, kernel = gf2.image_and_kernel(cols)
+    by_pivot, kernel = gf2.image_and_kernel(cols)
     for combo in kernel:
         assert gf2.apply_columns(cols, combo) == 0
-    assert basis.rank + len(kernel) == len(cols)
+    assert len(by_pivot) + len(kernel) == len(cols)
 
 
-def tagged_basis(vectors: list[int]) -> gf2.XorBasis:
-    """Basis where vectors[k] carries bit k of the combo."""
-    basis = gf2.XorBasis()
-    for k, v in enumerate(vectors):
-        assert insert(basis, v, k)[0]
-    return basis
+def appended(cols: list[int], v: int) -> tuple[int, int | None]:
+    """Reduce cols with v appended: v's reduced form, and the combo over cols
+    that writes v when it lies in their span (None when it does not)."""
+    n = len(cols)
+    by_pivot, kernel = gf2.image_and_kernel(cols + [v])
+    if kernel and kernel[-1].bit_length() > n:
+        return 0, kernel[-1] ^ 1 << n
+    [(reduced, combo)] = [e for e in by_pivot.values() if e[1].bit_length() > n]
+    assert combo >> n == 1
+    return reduced, None
 
 
 def test_coordinates_of_known_combination():
-    basis = tagged_basis([0b0110, 0b0011, 0b1000])
-    assert basis.reduce(0b0110 ^ 0b0011) == (0, 0b011)
-    assert basis.reduce(0b0110 ^ 0b0011 ^ 0b1000) == (0, 0b111)
-    assert basis.reduce(0b1000) == (0, 0b100)
+    cols = [0b0110, 0b0011, 0b1000]
+    assert appended(cols, 0b0110 ^ 0b0011) == (0, 0b011)
+    assert appended(cols, 0b0110 ^ 0b0011 ^ 0b1000) == (0, 0b111)
+    assert appended(cols, 0b1000) == (0, 0b100)
 
 
 def test_coordinates_of_zero_target():
-    assert tagged_basis([0b0110, 0b0011]).reduce(0) == (0, 0)
-    assert gf2.XorBasis().reduce(0) == (0, 0)
+    assert appended([0b0110, 0b0011], 0) == (0, 0)
+    assert appended([], 0) == (0, 0)
 
 
 def test_vector_outside_span_leaves_remainder():
-    basis = tagged_basis([0b0110, 0b0011])
-    remainder, _ = basis.reduce(0b0100)
-    assert remainder != 0
+    cols = [0b0110, 0b0011]
+    remainder, combo = appended(cols, 0b0100)
+    assert remainder != 0 and combo is None
     # the remainder differs from the target by a member of the span
-    assert basis.reduce(remainder ^ 0b0100)[0] == 0
+    assert appended(cols, remainder ^ 0b0100)[1] is not None
 
 
 def test_image_and_kernel_basis_spans_the_columns():
     cols = [0b110, 0b011, 0b101, 0b000]
-    basis, _ = gf2.image_and_kernel(cols)
-    assert basis.rank == 2
+    by_pivot, _ = gf2.image_and_kernel(cols)
+    assert len(by_pivot) == 2
     for c in cols:
-        assert basis.reduce(c)[0] == 0
-    assert basis.reduce(0b001)[0] != 0
+        _, combo = appended(cols, c)
+        assert combo is not None and gf2.apply_columns(cols, combo) == c
+    assert appended(cols, 0b001)[1] is None
 
 
 # -- the pivot-indexed kernel against the linear scan ---------------------------
@@ -107,20 +111,21 @@ def random_boundary(rng: random.Random, n: int) -> list[int]:
 
 def assert_kernel_matches_scan(x: F2Complex, rng: random.Random) -> None:
     cols = list(x.boundary)
-    basis, kernel = gf2.image_and_kernel(cols)
+    by_pivot, kernel = gf2.image_and_kernel(cols)
     scan_basis, scan_kernel = scan_image_and_kernel(cols)
     assert kernel == scan_kernel
-    assert basis.rank == len(scan_basis)
-    assert basis.mask == sum(1 << p for p in basis.by_pivot)
-    assert all(v.bit_length() - 1 == p for p, (v, _) in basis.by_pivot.items())
+    assert len(by_pivot) == len(scan_basis)
+    assert all(v.bit_length() - 1 == p for p, (v, _) in by_pivot.items())
     in_span = [apply_boundary(cols, rng.getrandbits(len(cols))) for _ in range(8)]
     anywhere = [rng.getrandbits(len(cols)) for _ in range(8)]
     for v in in_span + anywhere + kernel:
-        remainder, combo = basis.reduce(v)
+        # v appended to the columns: in the kernel exactly when the scan
+        # leaves nothing, else kept with no bit at an earlier pivot
+        remainder, combo = appended(cols, v)
         scan_remainder, scan_combo = scan_reduce(scan_basis, v)
-        assert (remainder == 0) == (scan_remainder == 0)
-        assert not any(remainder >> p & 1 for p in basis.by_pivot)
-        if not remainder:
+        assert (combo is not None) == (scan_remainder == 0)
+        assert not any(remainder >> p & 1 for p in by_pivot)
+        if combo is not None:
             # v has one way to be written in the kept columns, so both pivot
             # rules give the same combo; outside the span they need not
             assert combo == scan_combo
@@ -138,12 +143,36 @@ def test_kernel_matches_linear_scan_on_random_boundaries():
         assert_kernel_matches_scan(dual(x), rng)
 
 
+def test_appended_vectors_read_off_one_call():
+    # the death reader's reading: boundary columns with vectors appended, in
+    # one call, against the scan's own reduction of each vector
+    rng = random.Random(29)
+    read = 0
+    for _ in range(300):
+        cols = random_boundary(rng, rng.randint(1, 24))
+        n = len(cols)
+        vs = [apply_boundary(cols, rng.getrandbits(n)) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.5:
+            vs.insert(rng.randint(0, len(vs)), rng.getrandbits(n))
+        scan_basis, scan_kernel = scan_image_and_kernel(cols)
+        scans = [scan_reduce(scan_basis, v) for v in vs]
+        _, kernel = gf2.image_and_kernel(cols + vs)
+        pulled = [z & (1 << n) - 1 for z in kernel if z.bit_length() > n]
+        assert len(kernel) - len(pulled) == len(scan_kernel)
+        if any(remainder for remainder, _ in scans):
+            assert len(pulled) < len(vs)
+        else:
+            # each vector meets the pivots the boundary alone gives it
+            assert pulled == [combo for _, combo in scans]
+            read += bool(vs)
+    assert read > 100
+
+
 def assert_same_elimination(cols: list[int]) -> None:
-    basis, kernel = gf2.image_and_kernel(cols)
+    by_pivot, kernel = gf2.image_and_kernel(cols)
     ref, ref_kernel = insert_image_and_kernel(cols)
     assert kernel == ref_kernel
-    assert list(basis.by_pivot.items()) == list(ref.by_pivot.items())
-    assert basis.mask == ref.mask
+    assert list(by_pivot.items()) == list(ref.items())
 
 
 def test_inlined_kernel_matches_the_insert_loop(t29, monkeypatch, cold_caches):
@@ -153,14 +182,15 @@ def test_inlined_kernel_matches_the_insert_loop(t29, monkeypatch, cold_caches):
         assert_same_elimination(list(x.boundary))
         assert_same_elimination(list(dual(x).boundary))
     # the three matrices of a cold report on the 729 generators of
-    # T(2,9)^{#3}: the column, the lhook and the dual hook
+    # T(2,9)^{#3}: the column, the lhook plus its one representative's
+    # image, and the dual hook plus its one cocycle's image
     matrices = []
     kernel = gf2.image_and_kernel
     monkeypatch.setattr(gf2, "image_and_kernel", lambda cols: matrices.append(cols) or kernel(cols))
     big = tensor(tensor(t29, t29), t29)
     invariants(big)
     monkeypatch.undo()
-    assert [len(cols) for cols in matrices] == [729] * 3
+    assert [len(cols) for cols in matrices] == [729, 730, 730]
     for cols in matrices:
         assert_same_elimination(cols)
 
