@@ -151,18 +151,3 @@ def column(complex: CfkComplex) -> Column:
     x = realize(complex, Region("vertical", 0), _by_j)
     return Column(x.filtration, x.index, homology(x))
 
-
-def dual(x: F2Complex) -> F2Complex:
-    """The cochain complex of x on the same basis: the transposed boundary.
-
-    Its homology is the cohomology of x, and a quotient piece of x is a
-    subcomplex of the dual.
-    """
-    cols = [0] * x.dim
-    for k, col in enumerate(x.boundary):
-        source = 1 << k
-        while col:
-            top = col.bit_length() - 1
-            cols[top] |= source
-            col ^= 1 << top
-    return F2Complex(tuple(cols), index=x.index)

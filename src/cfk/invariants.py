@@ -12,15 +12,15 @@ homology; a1 is epsilon's sign times the level at which the map of that
 sign dies.  The routes' agreement is the theorem the test suite exercises.
 
 Each cutoff family is a filtration of one complex, so every cutoff is read
-off one filtered reduction (persistence) instead of one homology per
-level: the column by j for tau, the lhook by level for positive a1.  The
-hook families are quotients, whose duals are subcomplexes, so negative a1
-reduces the dual (cochain) hook and pulls back the cocycles of the
-column's own reduction: a cold report eliminates the column, the lhook
-and the dual hook.  epsilon asks whether the maps die at all, so it reads
-which of the two algebraic reductions finds a level.  Both routes read a1
-through one signed reader, _a1, which is given epsilon's sign and reads
-the level at which the map of that sign dies.
+off one filtered reduction (persistence) in ascending level instead of one
+homology per level: the column by j for tau, the lhook by level for
+positive a1, and for negative a1 the hook, whose quotient pieces have
+relative cycles spanned by that reduction's combos (see _death).  A cold
+report eliminates the column, the lhook and the hook.  epsilon asks
+whether the maps die at all, so it reads which of the two algebraic
+reductions finds a level.  Both routes read a1 through one signed reader,
+_a1, which is given epsilon's sign and reads the level at which the map
+of that sign dies.
 
 Caches are keyed on the knot complex plus small values, never on a chain
 complex, and cfk has two: homology.column on the complex, which keeps no
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from . import gf2
 from .complexes import CfkComplex, CfkError, ParameterError
-from .homology import Level, column, dual, realize
+from .homology import Level, column, realize
 from .regions import Region
 
 
@@ -107,20 +107,27 @@ class _Death(NamedTuple):
 def _death(complex: CfkComplex, shape: str, route: Level) -> _Death:
     """Where the map between the column and the hook or lhook at tau dies.
 
-    realize levels the region by the route, and the answer is the least
-    level s, at least 0, at which the map dies on homology.  A route that
-    gives i on every grading's point reads the _by_i entry.  On the lhook,
-    f: column -> {level <= s} sends a generator's column point (0, A) to
-    its point in the region when the two coincide, else to 0.  One reduction
-    reads it all: the lhook's n boundary columns in ascending level, each
-    f(z) appended after them.  Every combo has its own column as top bit, so
-    f(z) is a boundary exactly when it lands in the kernel, its combo's top
-    bit below n is the last column needed, and the level is None when some
-    f(z) is not a boundary.  On the hook, g: hook -> column dies at a
-    quotient, read off the duals: the same-point map of the column's
-    cocycles into the dual hook, reduced in descending level, dies on
-    cohomology exactly when g dies on homology.  The k kernel combos below
-    bit n give the target's homology dimension, k - (n - k).
+    realize levels the region by the route in ascending level; the answer
+    is the least level s, at least 0, at which the map dies on homology,
+    read off one reduction of the target's n boundary columns.  A route
+    that gives i on every grading's point reads the _by_i entry.  Both maps
+    send a generator's column point (0, A) to its point in the region when
+    the two coincide, else to 0, and f lists that as columns.  The k kernel
+    combos below bit n give the target's homology dimension, k - (n - k).
+
+    On the lhook, f: column -> {level <= s}, with each f(z) appended.  Every
+    combo has its own column as top bit, so f(z) is a boundary exactly when
+    it lands in the kernel, and its combo's top bit below n is the last
+    column needed; the level is None when some f(z) is no boundary.
+
+    On the hook, g: hook -> column dies on the quotient {level >= -s} when
+    each psi = phi . g, phi a column cocycle, pairs evenly with every
+    relative cycle of (hook, {level < -s}).  Column k ends as R_k = d V_k,
+    V_k its combo, and the nonzero R_k have distinct pivots, so these are
+    spanned by the kernel combos and the combos whose pivot level is below
+    -s.  The map never dies if some psi pairs oddly with a kernel combo;
+    else it dies at s = max(0, -min level(pivot)) over the pivots whose
+    combo pairs oddly with some psi, and at 0 when there is none.
 
     f is a plain column list, not a checked chain map: a same-point map
     between regions commutes with the boundaries by the region theory, and
@@ -138,20 +145,23 @@ def _death(complex: CfkComplex, shape: str, route: Level) -> _Death:
         return _death(complex, shape, _by_i)
     _, column_index, h = column(complex)
     target = realize(complex, region, route)
-    reps, cols, levels, sign = h.representatives, target.boundary, target.filtration, 1
-    if shape == "hook":
-        reps, cols, levels, sign = h.cocycles, dual(target).boundary[::-1], levels[::-1], -1
     same = {a for a, p in at.items() if p == (0, a)}  # gradings whose points coincide
     where = {g: k for k, g in enumerate(target.index)}
     f = [1 << where[g] if grades[g] in same else 0 for g in column_index]
-    n = len(cols)
-    _, kernel = gf2.image_and_kernel([*cols, *(gf2.apply_columns(f, z) for z in reps)])
+    levels, n = target.filtration, target.dim
+    images = [gf2.apply_columns(f, z) for z in h.representatives] if shape == "lhook" else []
+    by_pivot, kernel = gf2.image_and_kernel([*target.boundary, *images])
     pulled = [z & (1 << n) - 1 for z in kernel if z.bit_length() > n]
     dim = 2 * (len(kernel) - len(pulled)) - n
-    if len(pulled) < len(reps):  # some f(z) got a pivot: it is no boundary
+    if shape == "hook":
+        psi = [gf2.apply_columns(f, phi) for phi in h.cocycles]  # each phi . g
+        if any((p & z).bit_count() & 1 for p in psi for z in kernel):
+            return _Death(None, dim)
+        odd = [q for q, (_, c) in by_pivot.items() if any((p & c).bit_count() & 1 for p in psi)]
+        return _Death(max(0, -min((levels[q] for q in odd), default=0)), dim)
+    if len(pulled) < len(images):  # some f(z) got a pivot: it is no boundary
         return _Death(None, dim)
-    last = max(z.bit_length() - 1 for z in pulled) if pulled else -1
-    return _Death(max(0, sign * levels[last]) if last >= 0 else 0, dim)
+    return _Death(max([0] + [levels[z.bit_length() - 1] for z in pulled]), dim)
 
 
 def tau(complex: CfkComplex) -> int:
@@ -193,9 +203,9 @@ def _a1(complex: CfkComplex, route: Level, eps: int) -> int:
     For positive sign: the least s at which the column-to-lhook map dies
     on homology once the lhook is cut to {level <= s}.  For negative sign:
     minus the least s at which the hook-to-column map dies once the hook
-    is cut to {level >= -s}, read off the dual hook, where those quotients
-    become sublevel complexes and the pulled-back column cocycles must
-    become coboundaries.  Zero sign gives zero.
+    is cut to {level >= -s}, where the pulled-back column cocycles must pair
+    evenly with every relative cycle of the hook's own reduction.  Zero sign
+    gives zero.
     """
     if eps == 0:
         return 0

@@ -235,8 +235,8 @@ def transpose(cols: list[int]) -> list[int]:
 
 
 def reference_cocycles(cols: list[int]) -> tuple[int, ...]:
-    """Cohomology representatives as homology(dual(x)) gives them: the greedy
-    representatives of the transposed boundary, by the linear scan."""
+    """Cohomology representatives: the greedy representatives of the
+    transposed boundary, by the linear scan."""
     return greedy_representatives(transpose(cols))
 
 

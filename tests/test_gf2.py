@@ -3,8 +3,8 @@ import random
 from cfk import gf2
 from cfk.builders import random_model
 from cfk.complexes import mirror, tensor
-from cfk.homology import F2Complex, _by_j, dual, homology, realize
-from cfk.invariants import invariants, tau
+from cfk.homology import F2Complex, _by_j, homology, realize
+from cfk.invariants import _by_i, _by_steps, invariants, tau
 from cfk.regions import Region
 
 from oracles import (
@@ -16,7 +16,13 @@ from oracles import (
     reference_cocycles,
     scan_image_and_kernel,
     scan_reduce,
+    transpose,
 )
+
+
+def transposed(x: F2Complex) -> F2Complex:
+    """The cochain complex of x on the same basis."""
+    return F2Complex(tuple(transpose(list(x.boundary))))
 
 
 def test_rank_identity():
@@ -140,7 +146,7 @@ def test_kernel_matches_linear_scan_on_random_boundaries():
         x = F2Complex(tuple(random_boundary(rng, n)))
         assert d_squared_is_zero(x)
         assert_kernel_matches_scan(x, rng)
-        assert_kernel_matches_scan(dual(x), rng)
+        assert_kernel_matches_scan(transposed(x), rng)
 
 
 def test_appended_vectors_read_off_one_call():
@@ -168,6 +174,55 @@ def test_appended_vectors_read_off_one_call():
     assert read > 100
 
 
+def least_coboundary_cutoff(cols: list[int], levels: tuple[int, ...], psi: list[int]):
+    """The least s >= 0 at which every cochain in psi, supported on level 0,
+    is a coboundary of the quotient {level >= -s}, one scan per cutoff; None
+    when none is, not even on the whole complex."""
+    for s in range(max(0, -levels[0]) + 1 if levels else 1):
+        m = next((k for k, level in enumerate(levels) if level >= -s), len(levels))
+        quotient = [col >> m for col in cols[m:]]
+        if all(is_coboundary(quotient, p >> m) for p in psi):
+            return s
+    return None
+
+
+def pivot_reading(by_pivot: dict, kernel: list[int], levels: tuple[int, ...], psi: list[int]):
+    """The death reader's hook rule: None when some psi pairs oddly with a
+    kernel combo, else max(0, -min level) over the pivots whose combo pairs
+    oddly with some psi, 0 when there is none."""
+    if any(pairing(p, z) for p in psi for z in kernel):
+        return None
+    odd = [q for q, (_, combo) in by_pivot.items() if any(pairing(p, combo) for p in psi)]
+    return max(0, -min((levels[q] for q in odd), default=0))
+
+
+def test_hook_pairing_reads_the_quotient_coboundaries():
+    # the combos of one reduction in ascending level span the relative
+    # cycles of every quotient {level >= -s}, so cochains on the level-0
+    # points die where the oddly paired pivots say, against the scan's
+    # coboundary test on each quotient of realized hooks
+    rng = random.Random(31)
+    cases, dies_later, never = 0, 0, 0
+    for seed in range(240):
+        base = random_model(seed)
+        for c in (base, mirror(base)):
+            g = c.genus_bound
+            for route in (_by_i, _by_steps(1), _by_steps(2), _by_steps(2 * g + 1)):
+                x = realize(c, Region("hook", tau(c)), route)
+                cols, levels = list(x.boundary), x.filtration
+                zero = [k for k, level in enumerate(levels) if level == 0]
+                by_pivot, kernel = gf2.image_and_kernel(cols)
+                for _ in range(8):
+                    count = rng.randint(1, 2)
+                    psi = [sum(rng.getrandbits(1) << k for k in zero) for _ in range(count)]
+                    got = pivot_reading(by_pivot, kernel, levels, psi)
+                    assert got == least_coboundary_cutoff(cols, levels, psi), (c.name, route)
+                    cases += 1
+                    dies_later += bool(got)
+                    never += got is None
+    assert cases == 240 * 2 * 4 * 8 and dies_later > 1000 and never > 1000
+
+
 def assert_same_elimination(cols: list[int]) -> None:
     by_pivot, kernel = gf2.image_and_kernel(cols)
     ref, ref_kernel = insert_image_and_kernel(cols)
@@ -180,17 +235,17 @@ def test_inlined_kernel_matches_the_insert_loop(t29, monkeypatch, cold_caches):
     for _ in range(300):
         x = F2Complex(tuple(random_boundary(rng, rng.randint(1, 24))))
         assert_same_elimination(list(x.boundary))
-        assert_same_elimination(list(dual(x).boundary))
+        assert_same_elimination(transpose(list(x.boundary)))
     # the three matrices of a cold report on the 729 generators of
     # T(2,9)^{#3}: the column, the lhook plus its one representative's
-    # image, and the dual hook plus its one cocycle's image
+    # image, and the hook alone
     matrices = []
     kernel = gf2.image_and_kernel
     monkeypatch.setattr(gf2, "image_and_kernel", lambda cols: matrices.append(cols) or kernel(cols))
     big = tensor(tensor(t29, t29), t29)
     invariants(big)
     monkeypatch.undo()
-    assert [len(cols) for cols in matrices] == [729, 730, 730]
+    assert [len(cols) for cols in matrices] == [729, 730, 729]
     for cols in matrices:
         assert_same_elimination(cols)
 
@@ -239,7 +294,7 @@ def test_cocycles_are_dual_to_the_representatives(library):
         complexes += [realize(c, Region("vertical", 0), _by_j)]
         complexes += [realize(c, Region("hook", t)), realize(c, Region("lhook", t))]
     complexes += [F2Complex(tuple(random_boundary(rng, rng.randint(1, 24)))) for _ in range(300)]
-    dims = [assert_cocycle_laws(y) for x in complexes for y in (x, dual(x))]
+    dims = [assert_cocycle_laws(y) for x in complexes for y in (x, transposed(x))]
     assert len(dims) == 2 * (3 * len(pool) + 300)
     # the pairing rows are matched in more than one dimension
     assert sum(d > 1 for d in dims) > 100
@@ -253,4 +308,4 @@ def test_kernel_matches_linear_scan_on_regions():
         for c in (base, mirror(base)):
             for x in [realize(c, r) for r in regions] + [realize(c, regions[0], _by_j)]:
                 assert_kernel_matches_scan(x, rng)
-                assert_kernel_matches_scan(dual(x), rng)
+                assert_kernel_matches_scan(transposed(x), rng)

@@ -302,6 +302,25 @@ def test_step_reader_matches_the_walk_at_every_n():
     assert truncated > 0
 
 
+def test_hook_and_lhook_readings_are_mirror_images(library):
+    # the lhook at t is the mirror image of the hook at -t, on every route,
+    # so the hook's pairing reading and the lhook's appended reading of the
+    # mirror must agree on the death level and the target's dimension.  A
+    # reader that takes the highest pivot level instead of the lowest, or
+    # skips the kernel check, fails here
+    pool = list(library.values()) + [random_model(seed, size=3) for seed in range(300)]
+    pairs, levels = 0, set()
+    for c in dict.fromkeys(pool):
+        m = mirror(c)
+        for route in (_by_i, *(_by_steps(n) for n in range(1, 2 * c.genus_bound + 3))):
+            for shape, other in (("hook", "lhook"), ("lhook", "hook")):
+                got = _death(c, shape, route)
+                assert got == _death(m, other, route), (c.name, shape, route)
+                levels.add(got.level)
+                pairs += 1
+    assert pairs > 4000 and {None, 1, 2, 3} <= levels
+
+
 def test_cost_does_not_grow_with_genus(cold_caches):
     # the box sits far out, so the genus bound is about k, but tau = 1
     misses = []
@@ -332,9 +351,9 @@ def test_reports_keep_no_realization(library, cold_caches):
 
 
 def test_report_cost_and_route_sharing(library, monkeypatch, cold_caches):
-    # three eliminations per cold report: the column, the lhook and the dual
-    # hook, which pulls back the column's own cocycles; the surgery route's
-    # miss reads the algebraic entry
+    # three eliminations per cold report: the column, the lhook and the
+    # hook, whose combos pair with the column's own cocycles; the surgery
+    # route's miss reads the algebraic entry
     calls = []
     kernel = gf2.image_and_kernel
     monkeypatch.setattr(gf2, "image_and_kernel", lambda cols: calls.append(1) or kernel(cols))
@@ -378,7 +397,7 @@ def test_step_routes_are_values():
 def test_validate_and_report_share_one_column(library, monkeypatch, cold_caches):
     # validate's rank check reads the column the report reads, so a cold
     # validate then report makes three eliminations: the column, the lhook
-    # and the dual hook
+    # and the hook
     calls = []
     kernel = gf2.image_and_kernel
     monkeypatch.setattr(gf2, "image_and_kernel", lambda cols: calls.append(1) or kernel(cols))
