@@ -98,11 +98,12 @@ def box(offset: int = 0, prefix: str = "q") -> CfkComplex:
     return CfkComplex(f"box({offset})", gens, entries)
 
 
-def add_boxes(complex: CfkComplex, count: int, offset: int = 0) -> CfkComplex:
+def add_boxes(complex: CfkComplex, offsets: list[int]) -> CfkComplex:
+    """The complex plus one box per offset, the k-th with generator prefix q<k>."""
     out = complex
-    for k in range(count):
+    for k, offset in enumerate(offsets):
         out = direct_sum(out, box(offset, prefix=f"q{k}."))
-    return replace(out, name=complex.name) if count else out
+    return replace(out, name=complex.name)
 
 
 def thin_model(tau: int, boxes: int = 0, box_offset: int = 0) -> CfkComplex:
@@ -118,18 +119,15 @@ def thin_model(tau: int, boxes: int = 0, box_offset: int = 0) -> CfkComplex:
         core = mirror(staircase(AlexanderExponents(tuple(range(-tau, tau - 1, -1)))))
     else:
         core = CfkComplex("isolated", (Generator("o", 0, 0),), ())
-    out = add_boxes(core, boxes, box_offset)
+    out = add_boxes(core, [box_offset] * boxes)
     return replace(out, name=f"thin(tau={tau},boxes={boxes})")
 
 
 def conway_model(boxes: int = 3) -> CfkComplex:
     """Single generator at the origin plus null-homologous boxes."""
     core = CfkComplex("conway", (Generator("o", 0, 0),), ())
-    out = core
     offsets = [1, 0, -1, 2, -2]
-    for k in range(boxes):
-        out = direct_sum(out, box(offsets[k % len(offsets)], prefix=f"q{k}."))
-    return replace(out, name="conway")
+    return add_boxes(core, [offsets[k % len(offsets)] for k in range(boxes)])
 
 
 def _read_jumps(member: list[bool], genus: int) -> AlexanderExponents:
@@ -223,7 +221,7 @@ def random_model(seed: int, size: int = 2) -> CfkComplex:
         if rng.random() < 0.5:
             part = staircase(_random_exponents(rng))
             if rng.random() < 0.4:
-                part = add_boxes(part, 1, rng.randint(-2, 2))
+                part = add_boxes(part, [rng.randint(-2, 2)])
         else:
             part = thin_model(rng.randint(-2, 2), rng.randint(0, 1), rng.randint(-2, 2))
         factors.append(part)
@@ -235,7 +233,7 @@ def random_model(seed: int, size: int = 2) -> CfkComplex:
 
 
 def build_library() -> dict[str, CfkComplex]:
-    """Construct the shipped named complexes from their builders."""
+    """The named library, in its listing order: the only source of a named complex."""
     t23 = staircase(torus_knot_exponents(2, 3), name="T(2,3)")
     cable = staircase(cable_exponents(torus_knot_exponents(2, 3), 2, 5), name="T(2,3;2,5)")
     return {
@@ -251,32 +249,13 @@ def build_library() -> dict[str, CfkComplex]:
     }
 
 
-_FILES = {
-    "unknot": "unknot.json",
-    "T(2,3)": "t2_3.json",
-    "-T(2,3)": "t2_3_mirror.json",
-    "4_1": "figure8.json",
-    "T(2,9)": "t2_9.json",
-    "T(4,5)": "t4_5.json",
-    "T(2,3;2,5)": "cable_t23_25.json",
-    "-T(2,3;2,5)": "cable_t23_25_mirror.json",
-    "conway": "conway.json",
-}
-
-
 def library_names() -> list[str]:
-    return list(_FILES)
+    return list(build_library())
 
 
 def load_library(name: str) -> CfkComplex:
-    """Load a shipped named complex from its data file."""
-    from importlib.resources import files
-
-    from .complexes import parse
-
-    if name not in _FILES:
-        raise CfkError(
-            f"unknown knot {name!r}; available: {', '.join(library_names())}"
-        )
-    text = files("cfk.library").joinpath(_FILES[name]).read_text(encoding="utf-8")
-    return parse(text)
+    """Build a named complex of the library; the names are build_library's."""
+    library = build_library()
+    if name not in library:
+        raise CfkError(f"unknown knot {name!r}; available: {', '.join(library)}")
+    return library[name]

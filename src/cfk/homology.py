@@ -11,8 +11,6 @@ is a subquotient, so its d^2 = 0 follows from the complex's, which
 validate checks.  Chains are int bitsets over the basis (see gf2);
 homology representatives and their dual cocycles are read off the pivots
 of one deterministic reduction in basis order, so fixtures stay stable.
-There are no chain maps here: the death reader in invariants applies its
-same-point maps as plain column lists.
 """
 
 from __future__ import annotations

@@ -157,8 +157,10 @@ def _death(complex: CfkComplex, shape: str, route: Level) -> _Death:
         psi = [gf2.apply_columns(f, phi) for phi in h.cocycles]  # each phi . g
         if any((p & z).bit_count() & 1 for p in psi for z in kernel):
             return _Death(None, dim)
-        odd = [q for q, (_, c) in by_pivot.items() if any((p & c).bit_count() & 1 for p in psi)]
-        return _Death(max(0, -min((levels[q] for q in odd), default=0)), dim)
+        for q in sorted(by_pivot):  # levels ascend with q: the first odd pivot has the least
+            if any((p & by_pivot[q][1]).bit_count() & 1 for p in psi):
+                return _Death(max(0, -levels[q]), dim)
+        return _Death(0, dim)  # no pivot combo pairs oddly with any psi
     if len(pulled) < len(images):  # some f(z) got a pivot: it is no boundary
         return _Death(None, dim)
     return _Death(max([0] + [levels[z.bit_length() - 1] for z in pulled]), dim)

@@ -1,4 +1,4 @@
-"""Executable property suite over the shipped library and random models.
+"""Executable property suite over the named library and random models.
 
 Each property returns the number of cases checked and a list of failure
 descriptions naming the offending complex; the runner prints one line per

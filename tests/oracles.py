@@ -10,9 +10,10 @@ basis vector visited in turn, and representatives picked by a second
 reduction; run on the transposed boundary, it gives reference cocycles.
 insert is the one-call-per-column insertion that image_and_kernel
 inlines, kept step by step on its own pivot dict as its reference.  The
-cutoff walks take a source's representatives from the package's
-homology, so that one elimination is shared; they decide boundaries with
-the linear scan.  They are independent in search strategy, realizing one
+cutoff walks build every region from its defining predicates
+(leveled_region), and take representatives and decide boundaries with
+the linear scan, so they share no realization or elimination with the
+package.  They are independent in search strategy, realizing one
 clipped region or filtration piece per level and asking whether a map
 between plain complexes is zero on homology, where the package reads
 every cutoff, and epsilon, off one filtered reduction.  The walks own
@@ -31,7 +32,6 @@ from typing import NamedTuple
 
 import sympy
 
-from cfk.homology import homology, realize
 from cfk.invariants import InvariantViolation, SearchExhausted
 from cfk.regions import LatticePoint, Region, RegionError
 
@@ -250,10 +250,7 @@ def is_coboundary(cols: list[int], phi: int) -> bool:
 
 
 class Located(NamedTuple):
-    """A complex whose basis points are lattice points: the walks' own record.
-
-    homology reads only ``boundary``, so a record reduces as it stands.
-    """
+    """A complex whose basis points are lattice points: the walks' own record."""
 
     boundary: tuple[int, ...]
     filtration: tuple[int, ...] | None
@@ -266,9 +263,8 @@ class Located(NamedTuple):
 
 @lru_cache(maxsize=4096)
 def located(complex, region: Region) -> Located:
-    """The package's realization of the region, with the points of its basis."""
-    x = realize(complex, region)
-    return Located(x.boundary, x.filtration, region.lattice_points(complex, x.index))
+    """The region built from its defining predicates, basis in generator order."""
+    return leveled_region(complex, region)
 
 
 @lru_cache(maxsize=4096)
@@ -278,7 +274,7 @@ def _boundary_span(x: Located) -> list[tuple[int, int, int]]:
 
 @lru_cache(maxsize=4096)
 def _representatives(x: Located) -> tuple[int, ...]:
-    return homology(x).representatives
+    return greedy_representatives(list(x.boundary))
 
 
 class ChainMap(NamedTuple):
@@ -434,7 +430,7 @@ def filtration_quotient(x: Located, min_level: int) -> Located:
 def leveled_region(complex, region: Region, route=None) -> Located:
     """The region realized from its definition, in ascending route level.
 
-    Each generator's point is found by scanning its diagonal with
+    Each grading's point is found by scanning its diagonal with
     region_reference, and an entry d(x) = U^k y is kept when U^k y's
     lattice point, (i - k, i - k + A(y)) for x at (i, j), passes the same
     predicate.  Without a route the basis is in generator order.  With one,
@@ -443,16 +439,17 @@ def leveled_region(complex, region: Region, route=None) -> Located:
     """
     shape, t, clip = region.shape, region.level, region.clip
     reach = abs(t) + complex.genus_bound + 1
-    spot = {}
-    for g in complex.generators:
+    at = {}
+    for a in {g.alexander for g in complex.generators}:
         found = [
-            (i, i + g.alexander)
+            (i, i + a)
             for i in range(-reach, reach + 1)
-            if region_reference(shape, t, clip, i, i + g.alexander)
+            if region_reference(shape, t, clip, i, i + a)
         ]
-        assert len(found) <= 1, (g, region)
+        assert len(found) <= 1, (a, region)
         if found:
-            spot[g.id] = found[0]
+            at[a] = found[0]
+    spot = {g.id: at[g.alexander] for g in complex.generators if g.alexander in at}
     order = [g.id for g in complex.generators if g.id in spot]
     if route is not None:
         order.sort(key=lambda gid: route(shape, t, *spot[gid]))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from cfk.builders import build_library, library_names, load_library
@@ -19,11 +21,26 @@ REPORTS = {
 }
 
 
-def test_shipped_files_match_builders():
-    built = build_library()
-    assert set(library_names()) == set(built)
-    for name in library_names():
-        assert serialize(load_library(name)) == serialize(built[name]), name
+# golden text of each library knot, in library order
+GOLDEN = Path(__file__).parent / "data" / "library"
+FILES = {
+    "unknot": "unknot.json",
+    "T(2,3)": "t2_3.json",
+    "-T(2,3)": "t2_3_mirror.json",
+    "4_1": "figure8.json",
+    "T(2,9)": "t2_9.json",
+    "T(4,5)": "t4_5.json",
+    "T(2,3;2,5)": "cable_t23_25.json",
+    "-T(2,3;2,5)": "cable_t23_25_mirror.json",
+    "conway": "conway.json",
+}
+
+
+def test_builders_write_the_golden_text():
+    assert library_names() == list(FILES) == list(build_library())
+    for name, file in FILES.items():
+        text = (GOLDEN / file).read_bytes()
+        assert serialize(load_library(name)).encode("utf-8") == text, name
 
 
 def test_shipped_trefoil_shape():
