@@ -161,22 +161,35 @@ def cmd_mirror(args) -> int:
     return 0
 
 
+_N = r"\s*[-+]?\d+\s*"
+# each staircase option's value: its form as help shows it, and that form as a pattern
+_SPECS = {"--exponents": ("E0,E1,...", rf"{_N}(,{_N})*"), "--torus": ("P,Q", rf"{_N},{_N}"),
+          "--cable": ("P,Q;R,S", rf"{_N},{_N};{_N},{_N}")}
+
+
+def _spec(option: str, value: str) -> list[int]:
+    """The integers of a staircase spec, or an error naming its option and form."""
+    form, pattern = _SPECS[option]
+    if not re.fullmatch(pattern, value):
+        raise ParameterError(f"{option} takes {form}, got {value!r}")
+    return [int(x) for x in re.split("[,;]", value)]
+
+
 def cmd_staircase(args) -> int:
-    given = [x for x in (args.exponents, args.torus, args.cable) if x]
+    given = [option for option in _SPECS if getattr(args, option[2:]) is not None]
     if len(given) != 1:
-        raise CfkError("give exactly one of --exponents, --torus, --cable")
+        raise CfkError(f"give exactly one of {', '.join(_SPECS)}")
+    (option,) = given
     try:
-        if args.exponents:
-            e = AlexanderExponents(tuple(int(x) for x in args.exponents.split(",")))
-            name = None
-        elif args.torus:
-            p, q = (int(x) for x in args.torus.split(","))
+        ints = _spec(option, getattr(args, option[2:]))
+        if option == "--exponents":
+            e, name = AlexanderExponents(tuple(ints)), None
+        elif option == "--torus":
+            p, q = ints
             e = torus_knot_exponents(p, q)
             name = f"T({p},{q})"
         else:
-            base_part, _, cable_part = args.cable.partition(";")
-            p, q = (int(x) for x in base_part.split(","))
-            r, s = (int(x) for x in cable_part.split(","))
+            p, q, r, s = ints
             base = torus_knot_exponents(p, q)
             e = cable_exponents(base, r, s)
             bound = r * (2 * base.exponents[0] - 1)  # L-space cables: Hom, AGT 2011
@@ -266,9 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_mirror)
 
     sp = sub.add_parser("staircase", help="emit a staircase complex")
-    sp.add_argument("--exponents", metavar="E0,E1,...", help="alternating exponents")
-    sp.add_argument("--torus", metavar="P,Q", help="torus knot parameters")
-    sp.add_argument("--cable", metavar="P,Q;R,S", help="(R,S)-cable of the (P,Q) torus knot")
+    for option, text in (("--exponents", "alternating exponents"),
+                         ("--torus", "torus knot parameters"),
+                         ("--cable", "(R,S)-cable of the (P,Q) torus knot")):
+        sp.add_argument(option, metavar=_SPECS[option][0], help=text)
     sp.set_defaults(func=cmd_staircase)
 
     sp = sub.add_parser("realize", help="debug dump of a region realization")
@@ -292,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     # option; joined to its option, it reaches the parameter check instead
     for k in range(len(argv) - 1, 0, -1):
         option, value = argv[k - 1 : k + 1]
-        if option in ("--exponents", "--torus", "--cable") and re.match(r"-\d", value):
+        if option in _SPECS and re.match(r"-\d", value):
             argv[k - 1 : k + 1] = [f"{option}={value}"]
     args = build_parser().parse_args(argv)
     try:

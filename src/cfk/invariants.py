@@ -140,7 +140,7 @@ def _death(complex: CfkComplex, shape: str, route: Level) -> _Death:
     t = tau(complex)
     region = Region(shape, t)
     grades = complex.gradings
-    at = {a: region.point(a) for a in set(grades)}
+    at = {a: region.point(a) for a, _, _ in complex.blocks}
     if route is not _by_i and all(route(shape, t, i, j) == i for i, j in at.values()):
         return _death(complex, shape, _by_i)
     _, column_index, h = column(complex)
@@ -235,12 +235,17 @@ def _surgery_route(complex: CfkComplex, n: int | None = None) -> _by_steps:
 def a1_surgery(complex: CfkComplex, n: int | None = None) -> int:
     """a1 read off the meridian-cable step filtration on the surgery models.
 
-    Requires n above twice the genus bound, the regime where step levels
-    agree with the i-coordinate on occupied points and the surgery route
-    computes a1; n defaults to 2g + 1.  The reader itself, _a1 with
-    _by_steps(n), is defined for every n >= 1; below 2g + 1 the step levels
-    saturate on the arm, so the value can differ from a1, and the tests
-    compare it with the oracle's walk.
+    Requires n above twice the genus bound g; n defaults to 2g + 1.  The
+    reader, _a1 with _by_steps(n), gives eps * min(|a1|, n) at every n >= 1,
+    which is a1 for n > 2g.  Proof: the hook at t holds (0, a) for a <= t
+    and (t - a, t) for a > t.  With k = a - t, meridian_filtration's second
+    coordinate is i while k < n and -n once k >= n, where i = -k; so a hook
+    point's step level is max(i, -n), and by _by_steps' mirror an lhook
+    point's is min(i, n).  So the step cut at s is the i cut at s for s < n
+    and the whole region, an i cut at large s, for s >= n.  A map that dies
+    at a cutoff stays dead at every larger one, which factors through it by
+    inclusion on the lhook and by projection on the hook.  As the map of
+    eps's sign dies by i at |a1|, by steps it dies at min(|a1|, n).
     """
     return _a1(complex, _surgery_route(complex, n), epsilon(complex))
 

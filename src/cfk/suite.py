@@ -1,9 +1,9 @@
 """Executable property suite over the named library and random models.
 
 Each property returns the number of cases checked and a list of failure
-descriptions naming the offending complex; the runner prints one line per
-property and reports overall success.  Everything is deterministic in the
-seed count.
+descriptions naming the offending complex; most are laws of one complex run
+over a pool by ``_over``.  The runner prints one line per property and
+reports overall success.  Everything is deterministic in the seed count.
 """
 
 from __future__ import annotations
@@ -66,78 +66,68 @@ class SuiteContext:
         self.tiny_pool = [c for c in self.small_pool if len(c.generators) <= 20]
 
 
-def prop_validate(ctx: SuiteContext) -> tuple[int, list[str]]:
-    failures = []
-    pool = ctx.pool + ctx.invalid
-    for c in pool:
-        rep = validate(c)
-        if not rep.ok:
-            failed = [k for k, ok in rep.checks.items() if not ok]
-            failures.append(_offender(c, f"validation failed: {', '.join(failed)}"))
-    return len(pool), failures
+Property = Callable[[SuiteContext], tuple[int, list[str]]]
 
 
-def prop_round_trip(ctx: SuiteContext) -> tuple[int, list[str]]:
-    failures = []
-    for c in ctx.pool:
-        text = serialize(c)
-        if serialize(parse(text)) != text:
-            failures.append(_offender(c, "serialization round trip not canonical"))
-    return len(ctx.pool), failures
+def _over(pool: Callable[[SuiteContext], list[CfkComplex]]) -> Callable[..., Property]:
+    """Make a law, a complex's failure text or None, into a property over
+    ``pool(ctx)``: one case per complex and an offender per failing one."""
+    def wrap(law: Callable[[CfkComplex], str | None]) -> Property:
+        def prop(ctx: SuiteContext) -> tuple[int, list[str]]:
+            cases = pool(ctx)
+            return len(cases), [_offender(c, why) for c in cases if (why := law(c)) is not None]
+        return prop
+    return wrap
 
 
-def prop_mirror_involution(ctx: SuiteContext) -> tuple[int, list[str]]:
-    failures = []
-    for c in ctx.pool:
-        if mirror(mirror(c)) != c:
-            failures.append(_offender(c, "mirror applied twice is not the identity"))
-    return len(ctx.pool), failures
+@_over(lambda ctx: ctx.pool + ctx.invalid)
+def prop_validate(c: CfkComplex) -> str | None:
+    failed = [k for k, ok in validate(c).checks.items() if not ok]
+    return f"validation failed: {', '.join(failed)}" if failed else None
 
 
-def prop_slice_dim_one(ctx: SuiteContext) -> tuple[int, list[str]]:
+@_over(lambda ctx: ctx.pool)
+def prop_round_trip(c: CfkComplex) -> str | None:
+    text = serialize(c)
+    return "serialization round trip not canonical" if serialize(parse(text)) != text else None
+
+
+@_over(lambda ctx: ctx.pool)
+def prop_mirror_involution(c: CfkComplex) -> str | None:
+    return "mirror applied twice is not the identity" if mirror(mirror(c)) != c else None
+
+
+@_over(lambda ctx: ctx.pool)
+def prop_slice_dim_one(c: CfkComplex) -> str | None:
     # reads the cached column reduction that validate's rank check made
-    failures = []
-    for c in ctx.pool:
-        dim = column(c).homology.dimension
-        if dim != 1:
-            failures.append(_offender(c, f"column homology dimension {dim}"))
-    return len(ctx.pool), failures
+    dim = column(c).homology.dimension
+    return f"column homology dimension {dim}" if dim != 1 else None
 
 
-def prop_slice_translation(ctx: SuiteContext) -> tuple[int, list[str]]:
-    failures = []
-    for c in ctx.small_pool:
-        dims = {homology(realize(c, Region("vertical", i0))).dimension for i0 in (-2, 0, 3)}
-        if len(dims) != 1:
-            failures.append(_offender(c, f"column homology varies across columns: {dims}"))
-    return len(ctx.small_pool), failures
+@_over(lambda ctx: ctx.small_pool)
+def prop_slice_translation(c: CfkComplex) -> str | None:
+    dims = {homology(realize(c, Region("vertical", i0))).dimension for i0 in (-2, 0, 3)}
+    return f"column homology varies across columns: {dims}" if len(dims) != 1 else None
 
 
-def prop_hook_stabilization(ctx: SuiteContext) -> tuple[int, list[str]]:
-    failures = []
-    for c in ctx.small_pool:
-        g = c.genus_bound
-        high = {homology(realize(c, Region("hook", m))).dimension for m in (g, g + 1, g + 3)}
-        low = {homology(realize(c, Region("hook", m))).dimension for m in (-g, -g - 1, -g - 3)}
-        if len(high) != 1 or len(low) != 1:
-            failures.append(_offender(c, "hook homology fails to stabilize"))
-    return len(ctx.small_pool), failures
+@_over(lambda ctx: ctx.small_pool)
+def prop_hook_stabilization(c: CfkComplex) -> str | None:
+    g = c.genus_bound
+    high = {homology(realize(c, Region("hook", m))).dimension for m in (g, g + 1, g + 3)}
+    low = {homology(realize(c, Region("hook", m))).dimension for m in (-g, -g - 1, -g - 3)}
+    return "hook homology fails to stabilize" if len(high) != 1 or len(low) != 1 else None
 
 
-def prop_euler_characteristic(ctx: SuiteContext) -> tuple[int, list[str]]:
+@_over(lambda ctx: [c for c in ctx.pool if c.maslov_present])
+def prop_euler_characteristic(c: CfkComplex) -> str | None:
     # reads the cached column reduction that validate's rank check made; d
     # flips the Maslov parity, so each homology representative is homogeneous
     # and counts with its top point's parity
-    failures = []
-    graded = [c for c in ctx.pool if c.maslov_present]
-    for c in graded:
-        _, index, h = column(c)
-        sign = [1 - 2 * (g.maslov % 2) for g in c.generators]  # by generator index
-        chi = sum(sign[k] for k in index)
-        counted = sum(sign[index[z.bit_length() - 1]] for z in h.representatives)
-        if counted != chi:
-            failures.append(_offender(c, "euler characteristic mismatch on the column"))
-    return len(graded), failures
+    _, index, h = column(c)
+    sign = [1 - 2 * (g.maslov % 2) for g in c.generators]  # by generator index
+    chi = sum(sign[k] for k in index)
+    counted = sum(sign[index[z.bit_length() - 1]] for z in h.representatives)
+    return "euler characteristic mismatch on the column" if counted != chi else None
 
 
 def prop_staircase_laws(ctx: SuiteContext) -> tuple[int, list[str]]:
@@ -167,21 +157,16 @@ def prop_thin_law(ctx: SuiteContext) -> tuple[int, list[str]]:
     return cases, failures
 
 
-def prop_sign_epsilon(ctx: SuiteContext) -> tuple[int, list[str]]:
-    failures = []
-    for c in ctx.pool:
-        a1 = a1_algebraic(c)
-        if (a1 > 0) - (a1 < 0) != epsilon(c):
-            failures.append(_offender(c, "sgn(a1) differs from epsilon"))
-    return len(ctx.pool), failures
+@_over(lambda ctx: ctx.pool)
+def prop_sign_epsilon(c: CfkComplex) -> str | None:
+    a1 = a1_algebraic(c)
+    return "sgn(a1) differs from epsilon" if (a1 > 0) - (a1 < 0) != epsilon(c) else None
 
 
-def prop_mirror_antisymmetry(ctx: SuiteContext) -> tuple[int, list[str]]:
-    failures = []
-    for c in ctx.pool:
-        if a1_algebraic(mirror(c)) != -a1_algebraic(c):
-            failures.append(_offender(c, "a1 not antisymmetric under mirror"))
-    return len(ctx.pool), failures
+@_over(lambda ctx: ctx.pool)
+def prop_mirror_antisymmetry(c: CfkComplex) -> str | None:
+    mirrored = a1_algebraic(mirror(c))
+    return "a1 not antisymmetric under mirror" if mirrored != -a1_algebraic(c) else None
 
 
 def prop_surgery_equivalence(ctx: SuiteContext) -> tuple[int, list[str]]:
@@ -200,13 +185,10 @@ def prop_surgery_equivalence(ctx: SuiteContext) -> tuple[int, list[str]]:
     return cases, failures
 
 
-def prop_self_sum_vanishes(ctx: SuiteContext) -> tuple[int, list[str]]:
-    failures = []
-    for c in ctx.tiny_pool:
-        value = a1_algebraic(tensor(c, mirror(c)))
-        if value != 0:
-            failures.append(_offender(c, f"a1 of the self connect sum is {value}"))
-    return len(ctx.tiny_pool), failures
+@_over(lambda ctx: ctx.tiny_pool)
+def prop_self_sum_vanishes(c: CfkComplex) -> str | None:
+    value = a1_algebraic(tensor(c, mirror(c)))
+    return f"a1 of the self connect sum is {value}" if value != 0 else None
 
 
 def prop_connect_sum_rules(ctx: SuiteContext) -> tuple[int, list[str]]:
@@ -227,12 +209,9 @@ def prop_connect_sum_rules(ctx: SuiteContext) -> tuple[int, list[str]]:
     return cases, failures
 
 
-def prop_epsilon_zero_tau_zero(ctx: SuiteContext) -> tuple[int, list[str]]:
-    failures = []
-    for c in ctx.pool:
-        if epsilon(c) == 0 and tau(c) != 0:
-            failures.append(_offender(c, "epsilon 0 but tau nonzero"))
-    return len(ctx.pool), failures
+@_over(lambda ctx: ctx.pool)
+def prop_epsilon_zero_tau_zero(c: CfkComplex) -> str | None:
+    return "epsilon 0 but tau nonzero" if epsilon(c) == 0 and tau(c) != 0 else None
 
 
 def prop_meridian_window(ctx: SuiteContext) -> tuple[int, list[str]]:
@@ -338,7 +317,7 @@ def prop_box_neutrality(ctx: SuiteContext) -> tuple[int, list[str]]:
     return cases, failures
 
 
-PROPERTIES: list[tuple[str, Callable[[SuiteContext], tuple[int, list[str]]]]] = [
+PROPERTIES: list[tuple[str, Property]] = [
     ("validate", prop_validate),
     ("round-trip", prop_round_trip),
     ("mirror-involution", prop_mirror_involution),

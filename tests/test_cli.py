@@ -169,16 +169,29 @@ def test_missing_file(capsys):
     assert "error" in err
 
 
+# staircase specs of the wrong form: the error names the option and its form
+MALFORMED_SPECS = [
+    ("staircase", "--torus", "2"),
+    ("staircase", "--torus", "2,3,4"),
+    ("staircase", "--cable", "2,3"),
+    ("staircase", "--exponents", ""),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("a1", "--knot", "T(2,3)", "--n", "2"),
     ("filtration", "--knot", "T(2,3)", "--m", "0", "--n", "0"),
     ("staircase", "--torus", "2,4"),
     ("staircase", "--cable", "2,3;-1,5"),
+    *MALFORMED_SPECS,
 ])
 def test_parameter_errors_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ")
+    assert "unpack" not in err and "invalid literal" not in err
+    if argv in MALFORMED_SPECS:
+        assert f"error: {argv[1]} takes " in err
 
 
 @pytest.mark.parametrize("below, bound, above", [

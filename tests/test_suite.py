@@ -80,3 +80,25 @@ def test_euler_property_reads_the_representatives_parity(monkeypatch, trefoil):
     cases, failures = prop_euler_characteristic(ctx)
     assert cases == 1 and len(failures) == 1
     assert "euler characteristic mismatch" in failures[0]
+
+
+def test_over_runs_a_law_once_per_complex_in_pool_order(library):
+    # eleven properties are laws under _over, and no suite run reaches their
+    # failure branch: a law's failures must come back as offenders of
+    # exactly the failing complexes, in pool order, over one case each
+    pool = list(library.values())
+    ctx = SimpleNamespace(pool=pool)
+    failing = {pool[4], pool[1]}
+    seen = []
+
+    def law(c):
+        seen.append(c)
+        return f"law broken on {c.name}" if c in failing else None
+
+    cases, failures = suite._over(lambda ctx: ctx.pool)(law)(ctx)
+    assert seen == pool
+    assert (cases, failures) == (len(pool), [
+        suite._offender(pool[1], f"law broken on {pool[1].name}"),
+        suite._offender(pool[4], f"law broken on {pool[4].name}"),
+    ])
+    assert suite._over(lambda ctx: ctx.pool)(lambda c: None)(ctx) == (len(pool), [])
