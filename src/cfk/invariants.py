@@ -41,7 +41,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import gf2
-from .complexes import CfkComplex, CfkError, ParameterError
+from .complexes import CfkComplex, CfkError, ParameterError, tensor
 from .homology import Level, column, realize
 from .regions import Region
 
@@ -342,8 +342,6 @@ def connect_sum_prediction(a: int, b: int) -> tuple[int | None, str]:
 
 def connect_sum_rules(left: CfkComplex, right: CfkComplex) -> ConnectSumReport:
     """Evaluate a1 on the tensor and compare against the applicable sum rule."""
-    from .complexes import tensor
-
     a = a1_algebraic(left)
     b = a1_algebraic(right)
     predicted, rule = connect_sum_prediction(a, b)

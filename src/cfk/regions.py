@@ -28,11 +28,12 @@ class LatticePoint(NamedTuple):
     j: int
 
 
-# shape -> (defining equation, clip condition) as describe() prints them
+# shape -> (defining equation, clip condition) as describe() prints them;
+# shift is -level with its sign, so a hook at level -1 reads j+1
 _SHAPES = {
-    "vertical": ("i={}", "j<={}"),
-    "hook": ("max(i,j-{})=0", "i>={}"),
-    "lhook": ("min(i,j-{})=0", "i<={}"),
+    "vertical": ("i={level}", "j<={}"),
+    "hook": ("max(i,j{shift})=0", "i>={}"),
+    "lhook": ("min(i,j{shift})=0", "i<={}"),
 }
 
 
@@ -79,7 +80,8 @@ class Region:
 
     def describe(self) -> str:
         equation, clipped = _SHAPES[self.shape]
-        text = equation.format(self.level)
+        shift = f"-{self.level}" if self.level >= 0 else f"+{-self.level}"
+        text = equation.format(level=self.level, shift=shift)
         if self.clip is not None:
             text += ", " + clipped.format(self.clip)
         return "{" + text + "}"

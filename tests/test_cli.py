@@ -115,9 +115,10 @@ def test_realize_debug_output(capsys):
 @pytest.mark.parametrize("spec, header", [
     ("vslice:0", "region {i=0}: 9 basis points"),
     ("vclip:0,2", "region {i=0, j<=2}: 7 basis points"),
-    ("hook:-1", "region {max(i,j--1)=0}: 9 basis points"),
-    ("hookclip:-1,-4", "region {max(i,j--1)=0, i>=-4}: 8 basis points"),
+    ("hook:-1", "region {max(i,j+1)=0}: 9 basis points"),
+    ("hookclip:-1,-4", "region {max(i,j+1)=0, i>=-4}: 8 basis points"),
     ("lhook:1", "region {min(i,j-1)=0}: 9 basis points"),
+    ("lhook:-2", "region {min(i,j+2)=0}: 9 basis points"),
     ("lhookclip:1,2", "region {min(i,j-1)=0, i<=2}: 6 basis points"),
 ])
 def test_realize_every_region_kind(capsys, spec, header):

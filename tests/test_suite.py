@@ -1,10 +1,11 @@
+import re
 from types import SimpleNamespace
 
 import pytest
 
 from cfk import gf2, suite
 from cfk.homology import HomologyResult, column
-from cfk.invariants import tau
+from cfk.invariants import BiFiltrationLevel, tau
 from cfk.suite import (
     PROPERTIES,
     SuiteContext,
@@ -83,9 +84,9 @@ def test_euler_property_reads_the_representatives_parity(monkeypatch, trefoil):
 
 
 def test_over_runs_a_law_once_per_complex_in_pool_order(library):
-    # eleven properties are laws under _over, and no suite run reaches their
-    # failure branch: a law's failures must come back as offenders of
-    # exactly the failing complexes, in pool order, over one case each
+    # every property is a law under _over, and no suite run reaches a law's
+    # failure branch: a law's whole lines must come back for exactly the
+    # failing cases, in case order, one per case
     pool = list(library.values())
     ctx = SimpleNamespace(pool=pool)
     failing = {pool[4], pool[1]}
@@ -93,12 +94,44 @@ def test_over_runs_a_law_once_per_complex_in_pool_order(library):
 
     def law(c):
         seen.append(c)
-        return f"law broken on {c.name}" if c in failing else None
+        return suite._offender(c, "law broken") if c in failing else None
 
     cases, failures = suite._over(lambda ctx: ctx.pool)(law)(ctx)
     assert seen == pool
     assert (cases, failures) == (len(pool), [
-        suite._offender(pool[1], f"law broken on {pool[1].name}"),
-        suite._offender(pool[4], f"law broken on {pool[4].name}"),
+        suite._offender(pool[1], "law broken"),
+        suite._offender(pool[4], "law broken"),
     ])
     assert suite._over(lambda ctx: ctx.pool)(lambda c: None)(ctx) == (len(pool), [])
+
+
+def test_over_counts_tuple_cases_as_it_iterates():
+    # a generator of cases has no len: _over counts the items it draws, and
+    # a law that breaks several checks on one case still gives one line
+    def grid(ctx):
+        return ((i, j) for i in range(ctx.size) for j in range(i))
+
+    def law(case):
+        i, j = case
+        return f"broken at {case}" if i + j == 3 else None
+
+    prop = suite._over(grid)(law)
+    assert prop(SimpleNamespace(size=5)) == (10, ["broken at (2, 1)", "broken at (3, 0)"])
+    assert prop(SimpleNamespace(size=0)) == (0, [])
+
+
+def test_fail_lines_count_failing_cases(monkeypatch):
+    # a step formula that saturates one level too low above the diagonal:
+    # each of meridian-window's 4,140 window points above the diagonal
+    # (j > m + i) breaks its first check and several more, yet counts once,
+    # and no FAIL line names more failing cases than it checked
+    def saturating(i, j, m, n):
+        return BiFiltrationLevel(j - m, j - m - n - 1) if j > m + i else BiFiltrationLevel(i, i)
+
+    monkeypatch.setattr(suite, "meridian_filtration", saturating)
+    lines: list[str] = []
+    assert not run_suite(2, emit=lines.append)
+    heads = [re.fullmatch(r"FAIL (\S+) \((\d+) of (\d+) cases\)", line) for line in lines]
+    fails = {h[1]: (int(h[2]), int(h[3])) for h in heads if h}
+    assert fails["meridian-window"] == (4140, 8788)
+    assert all(k <= n for k, n in fails.values())
