@@ -225,17 +225,16 @@ def prop_meridian_window(case: tuple[int, int, int, int]) -> str | None:
         want = (j - m, i)
     else:
         want = (j - m, j - m - n)
-    at = f"({i},{j},{m},{n})"
     if (first, second) != want:
-        return f"filtration{at} = {(first, second)}"
+        return f"filtration({i},{j},{m},{n}) = {(first, second)}"
     if not 0 <= first - second <= n:
-        return f"filtration{at} drop out of range"
+        return f"filtration({i},{j},{m},{n}) drop out of range"
     if n == 1 and first - second not in (0, 1):
-        return f"filtration{at} has a middle case"
+        return f"filtration({i},{j},{m},1) has a middle case"
     if j > _WINDOW.start:
         below = meridian_filtration(i, j - 1, m, n)
         if first < below.first or second < below.second:
-            return f"filtration not monotone at {at}"
+            return f"filtration not monotone at ({i},{j},{m},{n})"
     return None
 
 
