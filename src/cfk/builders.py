@@ -1,8 +1,8 @@
 """Model complexes: staircases, boxes, thin and Conway models, random models.
 
 Staircases realize complexes of L-space knots from the alternating exponents
-of their Alexander polynomials, which one reader takes off a set: the
-semigroup <p, q> for torus knots, one built from the base's for cables.
+of their Alexander polynomials.  A cable's exponents are read off a set built
+from its base's, and a torus knot is the cable of the unknot.
 The random generator composes these shapes, so every model it emits is valid
 by construction.
 """
@@ -123,22 +123,9 @@ def thin_model(tau: int, boxes: int = 0, box_offset: int = 0) -> CfkComplex:
     return replace(out, name=f"thin(tau={tau},boxes={boxes})")
 
 
-def conway_model(boxes: int = 3) -> CfkComplex:
-    """Single generator at the origin plus null-homologous boxes."""
-    core = CfkComplex("conway", (Generator("o", 0, 0),), ())
-    offsets = [1, 0, -1, 2, -2]
-    return add_boxes(core, [offsets[k % len(offsets)] for k in range(boxes)])
-
-
-def _read_jumps(member: list[bool], genus: int) -> AlexanderExponents:
-    """Exponents of (1 - t) times the sum of t^m over a set S, shifted by -g.
-
-    member[m] says whether m, in [0, 2g], lies in S; S holds every m past 2g.
-    m gives an exponent exactly when m and m - 1 differ in membership, and
-    the signs alternate by themselves.
-    """
-    jumps = [m for m in range(2 * genus, -1, -1) if member[m] != (m > 0 and member[m - 1])]
-    return AlexanderExponents(tuple(m - genus for m in jumps))
+def conway_model() -> CfkComplex:
+    """Single generator at the origin plus null-homologous boxes at offsets 1, 0 and -1."""
+    return add_boxes(CfkComplex("conway", (Generator("o", 0, 0),), ()), [1, 0, -1])
 
 
 # The largest genus a builder builds, or the suite takes an extra file at:
@@ -146,34 +133,18 @@ def _read_jumps(member: list[bool], genus: int) -> AlexanderExponents:
 MAX_GENUS = 100_000
 
 
-def _cable_genus(p: int, q: int, g: int = 0) -> int:
-    """Genus of the (p, q)-cable of a genus g knot, T(p, q) at g = 0, if in bounds."""
-    if p < 1 or q < 1:
-        raise ParameterError(f"need positive parameters, got ({p}, {q})")
-    if gcd(p, q) != 1:
-        raise ParameterError(f"parameters ({p}, {q}) are not coprime")
-    genus = p * g + (p - 1) * (q - 1) // 2
-    if genus > MAX_GENUS:
-        raise ParameterError(f"genus {genus} exceeds the bound {MAX_GENUS}")
-    return genus
-
-
 def torus_knot_exponents(p: int, q: int) -> AlexanderExponents:
-    """Alexander exponents of the (p, q) torus knot from the semigroup <p, q>.
+    """Alexander exponents of the (p, q) torus knot, the (p, q)-cable of the unknot.
 
-    The polynomial, shifted by g, is (1 - t) times the sum of t^s over the
-    semigroup S generated by p and q, whose conductor is 2g.
+    The unknot's set S_K holds every b >= 0, so the cable's set {jq + pb}
+    of cable_exponents is the semigroup <p, q>, whose conductor is 2g.
 
     >>> torus_knot_exponents(2, 3).exponents
     (1, 0, -1)
     >>> torus_knot_exponents(4, 5).exponents
     (6, 5, 2, 0, -2, -5, -6)
     """
-    genus = _cable_genus(p, q)
-    member = [True]  # member[m]: m lies in S
-    for m in range(1, 2 * genus + 1):
-        member.append((m >= p and member[m - p]) or (m >= q and member[m - q]))
-    return _read_jumps(member, genus)
+    return cable_exponents(AlexanderExponents((0,)), p, q)
 
 
 def cable_exponents(base: AlexanderExponents, p: int, q: int) -> AlexanderExponents:
@@ -186,21 +157,30 @@ def cable_exponents(base: AlexanderExponents, p: int, q: int) -> AlexanderExpone
     t^jq over 0 <= j < p.  So the product is (1 - t) times the sum of
     t^(jq + pb) over j and b in S_K.  As gcd(p, q) = 1, jq + pb fixes j (its
     residue mod p) and so b: the exponents form a set S, and the product
-    alternates.  Every cable of a staircase polynomial is one.
+    alternates.  Every cable of a staircase polynomial is one.  S holds
+    every m past 2g, and m in [0, 2g] gives the exponent m - g exactly when
+    m and m - 1 differ in membership; the signs alternate by themselves.
 
     >>> cable_exponents(torus_knot_exponents(2, 3), 2, 5).exponents
     (4, 3, 0, -3, -4)
     """
+    if p < 1 or q < 1:
+        raise ParameterError(f"need positive parameters, got ({p}, {q})")
+    if gcd(p, q) != 1:
+        raise ParameterError(f"parameters ({p}, {q}) are not coprime")
     g = base.exponents[0]
-    genus = _cable_genus(p, q, g)
+    genus = p * g + (p - 1) * (q - 1) // 2
+    if genus > MAX_GENUS:
+        raise ParameterError(f"genus {genus} exceeds the bound {MAX_GENUS}")
     flips = {e + g for e in base.exponents}  # where b enters or leaves S_K
-    member = [False] * (2 * genus + 1)
+    member = [False] * (2 * genus + 1)  # member[m]: m lies in S
     for j in range(p):
         inside = False
         for b, s in enumerate(range(j * q, 2 * genus + 1, p)):
             inside ^= b in flips
             member[s] = inside
-    return _read_jumps(member, genus)
+    jumps = [m for m in range(2 * genus, -1, -1) if member[m] != (m > 0 and member[m - 1])]
+    return AlexanderExponents(tuple(m - genus for m in jumps))
 
 
 # -- Random models -----------------------------------------------------------

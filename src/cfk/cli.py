@@ -208,7 +208,7 @@ def cmd_realize(args) -> int:
     _require_valid(c)
     region = _parse_region(args.region)
     x = realize(c, region)
-    print(f"region {region.describe()}: {x.dim} basis points")
+    print(f"region {region.describe()}: {x.dim} basis point{'s' * (x.dim != 1)}")
     points = region.lattice_points(c, x.index)
     for p, col in zip(points, x.boundary):
         targets = []

@@ -230,13 +230,32 @@ def validate(complex: CfkComplex) -> ValidationReport:
     return rep
 
 
+def _is_sum(name: str) -> bool:
+    """Whether a name with balanced parentheses joins names by ' # ' or ' + '
+    outside every parenthesis, as tensor and direct_sum name their results."""
+    depth, joined = 0, False
+    for k, ch in enumerate(name):
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            return False
+        joined |= depth == 0 and name.startswith((" # ", " + "), k)
+    return joined and depth == 0
+
+
 def mirror(complex: CfkComplex) -> CfkComplex:
     """Dual complex: reverse every entry, negate both gradings.
 
     Reversing an entry keeps its U power, so the grading rules hold again
-    after negation; applying mirror twice gives back an equal complex.
+    after negation; applying mirror twice gives back an equal complex, and
+    its name: the mirror of a sum A # B is -(A # B), not -A # B.
     """
-    name = complex.name[1:] if complex.name.startswith("-") else "-" + complex.name
+    name = complex.name
+    if name.startswith("-(") and name.endswith(")") and _is_sum(name[2:-1]):
+        name = name[2:-1]
+    elif _is_sum(name):
+        name = f"-({name})"
+    else:
+        name = name[1:] if name.startswith("-") else "-" + name
     gens = tuple(
         Generator(g.id, -g.alexander, None if g.maslov is None else -g.maslov)
         for g in complex.generators

@@ -324,20 +324,16 @@ class ConnectSumReport:
 
 
 def connect_sum_prediction(a: int, b: int) -> tuple[int | None, str]:
-    """Predicted a1 of a connect sum from the summands' values, when a rule applies."""
-    if a == 0:
-        return b, "zero summand passes through"
-    if b == 0:
-        return a, "zero summand passes through"
-    if a > 0 and b > 0:
-        return min(a, b), "both positive: minimum"
-    if a < 0 and b < 0:
-        return max(a, b), "both negative: maximum"
-    if a + b > 0:
-        return min(a, b), "mixed signs, positive sum: minimum"
-    if a + b < 0:
-        return max(a, b), "mixed signs, negative sum: maximum"
-    return None, "mixed signs cancelling: no prediction"
+    """Predicted a1 of a connect sum from the summands' values, when a rule applies.
+
+    Hom's rule: the summand of smaller magnitude wins.  That is the minimum
+    of a positive sum and the maximum of a negative one, whatever the signs.
+    """
+    if a == 0 or b == 0:
+        return a + b, "zero summand passes through"
+    if a == -b:
+        return None, "opposite values cancel: no prediction"
+    return min(a, b, key=abs), "smaller magnitude wins"
 
 
 def connect_sum_rules(left: CfkComplex, right: CfkComplex) -> ConnectSumReport:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -112,17 +113,22 @@ def test_realize_debug_output(capsys):
     assert "homology dimension 1" in out
 
 
-@pytest.mark.parametrize("spec, header", [
-    ("vslice:0", "region {i=0}: 9 basis points"),
-    ("vclip:0,2", "region {i=0, j<=2}: 7 basis points"),
-    ("hook:-1", "region {max(i,j+1)=0}: 9 basis points"),
-    ("hookclip:-1,-4", "region {max(i,j+1)=0, i>=-4}: 8 basis points"),
-    ("lhook:1", "region {min(i,j-1)=0}: 9 basis points"),
-    ("lhook:-2", "region {min(i,j+2)=0}: 9 basis points"),
-    ("lhookclip:1,2", "region {min(i,j-1)=0, i<=2}: 6 basis points"),
-])
-def test_realize_every_region_kind(capsys, spec, header):
-    code, out, _ = run(capsys, "realize", "--knot", "T(2,9)", "--region", spec)
+REGION_HEADERS = [
+    ("T(2,9)", "vslice:0", "region {i=0}: 9 basis points"),
+    ("T(2,9)", "vclip:0,2", "region {i=0, j<=2}: 7 basis points"),
+    ("T(2,9)", "hook:-1", "region {max(i,j+1)=0}: 9 basis points"),
+    ("T(2,9)", "hookclip:-1,-4", "region {max(i,j+1)=0, i>=-4}: 8 basis points"),
+    ("T(2,9)", "lhook:1", "region {min(i,j-1)=0}: 9 basis points"),
+    ("T(2,9)", "lhook:-2", "region {min(i,j+2)=0}: 9 basis points"),
+    ("T(2,9)", "lhookclip:1,2", "region {min(i,j-1)=0, i<=2}: 6 basis points"),
+    ("T(2,3)", "vclip:0,-1", "region {i=0, j<=-1}: 1 basis point"),  # b2 alone
+]
+
+
+@pytest.mark.parametrize("knot, spec, header", REGION_HEADERS,
+                         ids=[f"{spec}-{header}" for _, spec, header in REGION_HEADERS])
+def test_realize_every_region_kind(capsys, knot, spec, header):
+    code, out, _ = run(capsys, "realize", "--knot", knot, "--region", spec)
     assert code == 0
     assert out.splitlines()[0] == header
 
@@ -288,6 +294,15 @@ def test_suite_passes(capsys):
     code, out, _ = run(capsys, "suite", "--seeds", "3")
     assert code == 0
     assert "suite PASS" in out
+
+
+def test_suite_stdout_pinned(capsys, cold_caches):
+    # the same 500-seed stdout hash that CI's stdlib-only job checks; a
+    # change to the suite's output updates both in the same commit
+    code, out, _ = run(capsys, "suite", "--seeds", "500")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "b1d7dd8dab9c33ce9abc57f37b6890ec84c81c2995d2bebcff00e6cb8a4aa90c"
 
 
 @pytest.mark.parametrize("count", ["-1", "-500", "x", "1.5"])

@@ -270,6 +270,19 @@ def test_mirror_involution(trefoil, cable_t23_25):
         assert mirror(mirror(c)) == c
 
 
+def test_mirror_names_a_sum_as_a_whole(library):
+    # the mirror of A # B is -(A # B), not -A # B, which names another knot;
+    # a naive strip of a leading "-(" would break the nested sum below
+    t29, t23, fig8 = library["T(2,9)"], library["T(2,3)"], library["4_1"]
+    assert mirror(tensor(t29, t29)).name == "-(T(2,9) # T(2,9))"
+    assert mirror(direct_sum(fig8, box(prefix="pad."))).name == "-(4_1 + box(0))"
+    nested = tensor(mirror(tensor(t29, t29)), mirror(tensor(t23, fig8)))
+    assert nested.name == "-(T(2,9) # T(2,9)) # -(T(2,3) # 4_1)"
+    assert mirror(nested).name == "-(-(T(2,9) # T(2,9)) # -(T(2,3) # 4_1))"
+    for c in (nested, tensor(mirror(t23), t29), t23, mirror(t23)):
+        assert mirror(mirror(c)).name == c.name
+
+
 def test_mirror_reverses_and_negates(trefoil):
     m = mirror(trefoil)
     assert sorted(g.alexander for g in m.generators) == [-1, 0, 1]

@@ -246,13 +246,14 @@ def test_connect_sum_mixed_signs_nonzero_sum(t45, cable_t23_25, trefoil):
 
 def test_connect_sum_prediction_table():
     assert connect_sum_prediction(0, -2) == (-2, "zero summand passes through")
-    assert connect_sum_prediction(3, 2) == (2, "both positive: minimum")
-    assert connect_sum_prediction(-3, -2) == (-2, "both negative: maximum")
+    assert connect_sum_prediction(3, 0) == (3, "zero summand passes through")
+    assert connect_sum_prediction(3, 2) == (2, "smaller magnitude wins")
+    assert connect_sum_prediction(-3, -2) == (-2, "smaller magnitude wins")
     # mixed signs: positive sum takes the min, negative sum takes the max,
     # so the smaller-magnitude summand always wins
     assert connect_sum_prediction(3, -2)[0] == -2
     assert connect_sum_prediction(-3, 2)[0] == 2
-    assert connect_sum_prediction(2, -2) == (None, "mixed signs cancelling: no prediction")
+    assert connect_sum_prediction(2, -2) == (None, "opposite values cancel: no prediction")
 
 
 # -- one filtered reduction per cutoff ----------------------------------------

@@ -5,12 +5,13 @@ import pytest
 
 from cfk import gf2, suite
 from cfk.homology import HomologyResult, column
-from cfk.invariants import BiFiltrationLevel, tau
+from cfk.invariants import BiFiltrationLevel, _by_steps, meridian_filtration, tau
 from cfk.suite import (
     PROPERTIES,
     SuiteContext,
     prop_euler_characteristic,
     prop_slice_dim_one,
+    prop_surgery_equivalence,
     prop_tensor_commutes,
     prop_validate,
     run_suite,
@@ -135,3 +136,29 @@ def test_fail_lines_count_failing_cases(monkeypatch):
     fails = {h[1]: (int(h[2]), int(h[3])) for h in heads if h}
     assert fails["meridian-window"] == (4140, 8788)
     assert all(k <= n for k, n in fails.values())
+
+
+def _unmirrored(self, shape, t, i, j):
+    # the lhook read with the hook's step levels, left unmirrored
+    return meridian_filtration(i, j, t, self.n).second
+
+
+def _too_deep(self, shape, t, i, j):
+    # the saturated step level taken one step too deep: a drop of n + 1
+    s = 1 if shape == "hook" else -1
+    first, second = meridian_filtration(s * i, s * j, s * t, self.n)
+    return s * (second - (first - second == self.n))
+
+
+@pytest.mark.parametrize("mutant", [_unmirrored, _too_deep])
+def test_surgery_equivalence_kills_the_step_route_mutants(monkeypatch, cold_caches, mutant):
+    # at n = 1 and 2 the surgery route reduces regions of its own, so a
+    # defect in its step levels shows (32 and 74 failing cases of 177 at 50
+    # seeds); at 2 seeds no case reaches the unmirrored lhook level
+    monkeypatch.setattr(_by_steps, "__call__", mutant)
+    try:
+        cases, failures = prop_surgery_equivalence(SuiteContext(50))
+    finally:
+        cold_caches()  # the death reader kept the mutant's levels
+    assert cases == 177
+    assert failures
