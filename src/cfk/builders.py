@@ -174,7 +174,7 @@ def cable_exponents(base: AlexanderExponents, p: int, q: int) -> AlexanderExpone
         raise ParameterError(f"genus {genus} exceeds the bound {MAX_GENUS}")
     flips = {e + g for e in base.exponents}  # where b enters or leaves S_K
     member = [False] * (2 * genus + 1)  # member[m]: m lies in S
-    for j in range(p):
+    for j in range(min(p, 2 * genus + 1)):  # past 2g, jq + pb leaves [0, 2g]
         inside = False
         for b, s in enumerate(range(j * q, 2 * genus + 1, p)):
             inside ^= b in flips

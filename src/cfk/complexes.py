@@ -230,10 +230,10 @@ def validate(complex: CfkComplex) -> ValidationReport:
     return rep
 
 
-def _is_sum(name: str) -> bool:
-    """Whether a name with balanced parentheses joins names by ' # ' or ' + '
-    outside every parenthesis, as tensor and direct_sum name their results."""
-    depth, joined = 0, False
+def _wrapped(name: str) -> bool:
+    """Whether a name that is not a mirror's mirrors to -( name ): it balances its
+    parentheses and starts with '-' or '(' or joins names by ' # ' or ' + ' outside them."""
+    depth, joined = 0, name.startswith(("-", "("))
     for k, ch in enumerate(name):
         depth += (ch == "(") - (ch == ")")
         if depth < 0:
@@ -245,17 +245,17 @@ def _is_sum(name: str) -> bool:
 def mirror(complex: CfkComplex) -> CfkComplex:
     """Dual complex: reverse every entry, negate both gradings.
 
-    Reversing an entry keeps its U power, so the grading rules hold again
-    after negation; applying mirror twice gives back an equal complex, and
-    its name: the mirror of a sum A # B is -(A # B), not -A # B.
-    """
-    name = complex.name
-    if name.startswith("-(") and name.endswith(")") and _is_sum(name[2:-1]):
-        name = name[2:-1]
-    elif _is_sum(name):
-        name = f"-({name})"
+    Reversing an entry keeps its U power, so the grading rules hold again after
+    negation; mirror twice gives back an equal complex and any balanced name, as a
+    name is a mirror's when it is -X, X not wrapped, or -(Y), Y wrapped and not a
+    mirror's (peeled -( ) layers flip that), and A # B mirrors to -(A # B)."""
+    name, layers = complex.name, 0
+    while name.startswith("-(") and name.endswith(")") and _wrapped(name[2:-1]):
+        name, layers = name[2:-1], layers + 1
+    if (name.startswith("-") and not _wrapped(name[1:])) != (layers % 2 == 1):
+        name = complex.name[2:-1] if layers else complex.name[1:]
     else:
-        name = name[1:] if name.startswith("-") else "-" + name
+        name = f"-({complex.name})" if _wrapped(complex.name) else "-" + complex.name
     gens = tuple(
         Generator(g.id, -g.alexander, None if g.maslov is None else -g.maslov)
         for g in complex.generators

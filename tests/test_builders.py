@@ -87,6 +87,11 @@ def test_builders_refuse_a_genus_above_the_bound():
     with pytest.raises(ParameterError, match="genus 40000000000 exceeds"):
         cable_exponents(trefoil, 200000, 400001)
     assert MAX_GENUS >= torus_knot_exponents(11, 12).exponents[0] == 55
+    # the bound does not bound p at genus 0, where T(p,1) is the unknot: the
+    # loop over j stops at 2g + 1, not at p, so these return at once
+    assert torus_knot_exponents(10**9, 1).exponents == (0,)
+    assert cable_exponents(AlexanderExponents((0,)), 10**9, 1).exponents == (0,)
+    assert cable_exponents(trefoil, 1, 10**9) == trefoil
 
 
 # the four original cases first, so their ids stay, then the grid: bases

@@ -281,6 +281,13 @@ def test_mirror_names_a_sum_as_a_whole(library):
     assert mirror(nested).name == "-(-(T(2,9) # T(2,9)) # -(T(2,3) # 4_1))"
     for c in (nested, tensor(mirror(t23), t29), t23, mirror(t23)):
         assert mirror(mirror(c)).name == c.name
+    # a name read from a file may start with '(' or '--': it is wrapped whole,
+    # so it never shares a mirror name with A # B or with -T(2,3)
+    assert mirror(replace(t23, name="(A # B)")).name == "-((A # B))"
+    assert mirror(replace(t23, name="--(A # B)")).name == "-(--(A # B))"
+    assert mirror(replace(t23, name="--T(2,3)")).name == "-(--T(2,3))"
+    for name in ("(A # B)", "--(A # B)", "--T(2,3)", "-(-T(2,3))", "-(a)b", "()"):
+        assert mirror(mirror(replace(t23, name=name))).name == name
 
 
 def test_mirror_reverses_and_negates(trefoil):
