@@ -10,7 +10,7 @@ by construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 
@@ -103,7 +103,7 @@ def add_boxes(complex: CfkComplex, offsets: list[int]) -> CfkComplex:
     out = complex
     for k, offset in enumerate(offsets):
         out = direct_sum(out, box(offset, prefix=f"q{k}."))
-    return replace(out, name=complex.name)
+    return out.renamed(complex.name)
 
 
 def thin_model(tau: int, boxes: int = 0, box_offset: int = 0) -> CfkComplex:
@@ -120,7 +120,7 @@ def thin_model(tau: int, boxes: int = 0, box_offset: int = 0) -> CfkComplex:
     else:
         core = CfkComplex("isolated", (Generator("o", 0, 0),), ())
     out = add_boxes(core, [box_offset] * boxes)
-    return replace(out, name=f"thin(tau={tau},boxes={boxes})")
+    return out.renamed(f"thin(tau={tau},boxes={boxes})")
 
 
 def conway_model() -> CfkComplex:
@@ -206,7 +206,7 @@ def random_model(seed: int, size: int = 2) -> CfkComplex:
             part = thin_model(rng.randint(-2, 2), rng.randint(0, 1), rng.randint(-2, 2))
         factors.append(part)
     out = reduce(tensor, factors)
-    return replace(out, name=f"random({seed},{size})")
+    return out.renamed(f"random({seed},{size})")
 
 
 # -- Named library -----------------------------------------------------------
@@ -220,7 +220,7 @@ def build_library() -> dict[str, CfkComplex]:
         "unknot": unknot(),
         "T(2,3)": t23,
         "-T(2,3)": mirror(t23),
-        "4_1": replace(thin_model(0, 1), name="4_1"),
+        "4_1": thin_model(0, 1).renamed("4_1"),
         "T(2,9)": staircase(torus_knot_exponents(2, 9), name="T(2,9)"),
         "T(4,5)": staircase(torus_knot_exponents(4, 5), name="T(4,5)"),
         "T(2,3;2,5)": cable,

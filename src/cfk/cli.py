@@ -134,7 +134,7 @@ def cmd_filtration(args) -> int:
     (c,) = _resolve_inputs(args, 1)
     _require_valid(c)
     # the unclipped hook holds every generator once, in generator order
-    hook = Region("hook", args.m).lattice_points(c, range(len(c.generators)))
+    hook = Region("hook", args.m).lattice_points(c, range(len(c.ids)))
     rows = [(p.gen, p.i, p.j, *meridian_filtration(p.i, p.j, args.m, args.n)) for p in hook]
     if args.format == "json":
         print(json.dumps(

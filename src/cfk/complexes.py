@@ -4,17 +4,23 @@ A complex is a finite set of generators, each carrying an Alexander grading
 (and optionally a Maslov grading), together with differential entries of the
 form ``d(src) += U^k * dst``.  A generator ``x`` occupies the lattice points
 ``[x, i, i + A(x)]``; multiplication by U shifts a point to ``(i-1, j-1)``.
-All structural operations return new immutable values.
+A complex holds only canonical arrays indexed by generator: its ids, its
+gradings and, per generator, the entries out of it as (target index, U
+power).  Ids are read only at the edges: by ``parse`` and the constructor,
+by ``serialize`` and in messages.  All structural operations return new
+immutable values and work on the arrays.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring
-from typing import NamedTuple
+from operator import eq
+from typing import Iterable, NamedTuple
 
 
 class CfkError(Exception):
@@ -48,66 +54,207 @@ class DiffEntry(NamedTuple):
     upower: int
 
 
-@dataclass(frozen=True)
+def _id_order(ids) -> list[int]:
+    """Generator indices by ascending id.  A canonical order is a run of
+    ascending ids per grading, so the sort merges those runs."""
+    return sorted(range(len(ids)), key=ids.__getitem__)
+
+
+def _inverse(perm: list[int]) -> list[int]:
+    inverse = [0] * len(perm)
+    for k, p in enumerate(perm):
+        inverse[p] = k
+    return inverse
+
+
+def _order(ids, gradings, maslov) -> tuple[list[int], list[int]]:
+    """The canonical order, (alexander descending, id ascending), and the id
+    order of generators given in any order, as lists of their positions.
+
+    Raises ParseError naming the first generator in canonical order that
+    repeats an id or breaks Maslov uniformity (``maslov`` is None for none).
+    """
+    by_id = _id_order(ids)
+    order = sorted(by_id, key=gradings.__getitem__, reverse=True)  # ties stay in id order
+    mixed = maslov is not None and 0 < maslov.count(None) < len(maslov)
+    if mixed or len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        bare = maslov is None or maslov[order[0]] is None
+        for p in order:
+            if ids[p] in seen:
+                raise ParseError(f"duplicate generator id {ids[p]!r}")
+            if (maslov is None or maslov[p] is None) != bare:
+                raise ParseError("maslov grading present on some generators but not all")
+            seen.add(ids[p])
+    return order, by_id
+
+
+def _arrays(order: list[int], ids, gradings, maslov) -> tuple:
+    """The generator arrays in the given order: ids, gradings, maslov."""
+    return (
+        tuple(map(ids.__getitem__, order)),
+        tuple(map(gradings.__getitem__, order)),
+        None if maslov is None else tuple(map(maslov.__getitem__, order)),
+    )
+
+
+def _arrows(triples: list[tuple[int, int, int]], ids, order: list[int], by_id: list[int]):
+    """Canonical arrows from (src, dst, upower) triples, src and dst given by
+    id rank, for generators listed as ``ids`` with the canonical order and
+    the id order of _order: per source, (target index, U power) sorted by
+    target id and U power.
+
+    Raises ParseError naming the first repeated entry in (src, dst, upower)
+    order: once sorted, a repeat is adjacent.
+    """
+    triples.sort()
+    if any(map(eq, triples, islice(triples, 1, None))):
+        s, d, u = next(x for x, y in zip(triples, triples[1:]) if x == y)
+        raise ParseError(f"duplicate entry {ids[by_id[s]]}->{ids[by_id[d]]} U^{u}")
+    index = _inverse(order)
+    index = [index[p] for p in by_id]  # canonical index per id rank
+    arrows: list = [()] * len(index)
+    if triples:
+        sources, targets, upowers = zip(*triples)
+        pairs = list(zip(map(index.__getitem__, targets), upowers))
+        start = 0
+        for r in dict.fromkeys(sources):  # ascending, as the triples are sorted
+            stop = bisect_right(sources, r, start)
+            arrows[index[r]] = tuple(pairs[start:stop])
+            start = stop
+    return tuple(arrows)
+
+
+def _bad_entry(ids, entries) -> str:
+    """The message for the first entry, in (src, dst, upower) order, that
+    names an unknown generator, has a negative U power or repeats one."""
+    known, previous = set(ids), None
+    for key in sorted(entries):
+        src, dst, upower = key
+        if src not in known:
+            return f"entry {src}->{dst}: unknown generator {src!r}"
+        if dst not in known:
+            return f"entry {src}->{dst}: unknown generator {dst!r}"
+        if upower < 0:
+            return f"entry {src}->{dst}: negative upower {upower}"
+        if key == previous:
+            return f"duplicate entry {src}->{dst} U^{upower}"
+        previous = key
+    raise AssertionError("every entry keeps the structural rules")
+
+
+def _structure(ids: list, gradings: list, maslov: list, srcs: list, dsts: list, upowers: list):
+    """Canonical arrays (ids, gradings, maslov, arrows) from one column per
+    generator field and one per entry field, each in any order.
+
+    The structural rules are checked here, on construction and parse alike,
+    and the first offender is named: generators in canonical order first,
+    then entries in (src, dst, upower) order.
+    """
+    if maslov.count(None) == len(maslov):
+        maslov = None
+    order, by_id = _order(ids, gradings, maslov)
+    rank = dict(zip(map(ids.__getitem__, by_id), range(len(ids))))
+    sources, targets = list(map(rank.get, srcs)), list(map(rank.get, dsts))
+    if None in sources or None in targets or min(upowers, default=0) < 0:
+        raise ParseError(_bad_entry(ids, zip(srcs, dsts, upowers)))
+    triples = list(zip(sources, targets, upowers))
+    return (*_arrays(order, ids, gradings, maslov), _arrows(triples, ids, order, by_id))
+
+
 class CfkComplex:
-    """Immutable, well-formed complex; generators and entries in canonical order.
+    """Immutable, well-formed complex, held as canonical arrays.
 
     Canonical order is (alexander descending, id ascending) for generators
-    and (src, dst, upower) for differential entries, matching the on-disk
-    serialization.  Construction enforces the structural rules, so no other
-    code checks them: ids are unique, entries name known generators, U
-    powers are at least 0, no entry occurs twice, and Maslov gradings are
-    given on all generators or on none.  It raises ParseError naming the
-    first offender.  The name is a label: equality and the hash are
-    structural, so the caches keyed on a complex share entries across names.
+    and, per generator, (target id, upower) for the entries out of it,
+    matching the on-disk serialization.  A complex holds only ``name``,
+    ``ids``, ``gradings`` (the Alexander grading per generator index),
+    ``maslov`` (the Maslov grading per index, or None) and ``arrows`` (the
+    entries out of each generator as (target index, U power)).
+    ``generators`` and ``differential`` give the same complex as records,
+    built on each read, for callers that want records.
+
+    ``CfkComplex(name, generators, differential)`` takes records in any
+    order and enforces the structural rules, so no other code checks them:
+    ids are unique, entries name known generators, U powers are at least 0,
+    no entry occurs twice, and Maslov gradings are given on all generators
+    or on none.  It raises ParseError naming the first offender.  The name
+    is a label: equality and the hash are structural, so the caches keyed on
+    a complex share entries across names, and ``renamed`` shares the arrays.
     """
 
-    name: str = field(compare=False)
-    generators: tuple[Generator, ...] = field(default_factory=tuple)
-    differential: tuple[DiffEntry, ...] = field(default_factory=tuple)
+    name: str
+    ids: tuple[str, ...]
+    gradings: tuple[int, ...]
+    maslov: tuple[int, ...] | None
+    arrows: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __post_init__(self) -> None:
-        gens = tuple(sorted(self.generators, key=lambda g: (-g.alexander, g.id)))
-        entries = tuple(sorted(self.differential))
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "differential", entries)
-        ids: set[str] = set()
-        bare = bool(gens) and gens[0].maslov is None
-        for g in gens:
-            if g.id in ids:
-                raise ParseError(f"duplicate generator id {g.id!r}")
-            if (g.maslov is None) != bare:
-                raise ParseError("maslov grading present on some generators but not all")
-            ids.add(g.id)
-        previous = None
-        for e in entries:
-            key = src, dst, upower = e.src, e.dst, e.upower
-            if src not in ids:
-                raise ParseError(f"entry {src}->{dst}: unknown generator {src!r}")
-            if dst not in ids:
-                raise ParseError(f"entry {src}->{dst}: unknown generator {dst!r}")
-            if upower < 0:
-                raise ParseError(f"entry {src}->{dst}: negative upower {upower}")
-            if key == previous:  # sorted, so a repeated entry is adjacent
-                raise ParseError(f"duplicate entry {src}->{dst} U^{upower}")
-            previous = key
+    def __init__(self, name: str, generators: Iterable[Generator] = (),
+                 differential: Iterable[DiffEntry] = ()) -> None:
+        gens, entries = tuple(generators), tuple(differential)
+        self._hold(name, *_structure(
+            [g.id for g in gens], [g.alexander for g in gens], [g.maslov for g in gens],
+            [e.src for e in entries], [e.dst for e in entries], [e.upower for e in entries],
+        ))
+
+    def _hold(self, name, ids, gradings, maslov, arrows) -> None:
+        vars(self).update(name=name, ids=ids, gradings=gradings, maslov=maslov, arrows=arrows)
+
+    @classmethod
+    def _of(cls, name, ids, gradings, maslov, arrows) -> CfkComplex:
+        """The complex of arrays that are canonical already: nothing is checked."""
+        c = object.__new__(cls)
+        c._hold(name, ids, gradings, maslov, arrows)
+        return c
+
+    def renamed(self, name: str) -> CfkComplex:
+        """The same complex under another name; it shares the arrays and
+        whatever was derived from them."""
+        c = object.__new__(type(self))
+        vars(c).update(vars(self), name=name)
+        return c
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"CfkComplex is immutable: cannot set {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"CfkComplex is immutable: cannot delete {key!r}")
+
+    def _key(self) -> tuple:
+        return self.ids, self.gradings, self.maslov, self.arrows
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CfkComplex):
+            return NotImplemented
+        return self is other or self._key() == other._key()
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.generators, self.differential))
+        return hash(self._key())
 
     def __hash__(self) -> int:
-        # Complexes key the lru caches, so hash the generator tuples once.
+        # Complexes key the lru caches, so hash the arrays once.
         return self._hash
 
     def __getstate__(self) -> dict:
         # String hashes differ between processes: never pickle a cached one.
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
 
-    @cached_property
-    def gradings(self) -> tuple[int, ...]:
-        """The Alexander grading of each generator, by index."""
-        return tuple(g.alexander for g in self.generators)
+    def __repr__(self) -> str:
+        return (f"CfkComplex(name={self.name!r}, generators={self.generators!r},"
+                f" differential={self.differential!r})")
+
+    @property
+    def generators(self) -> tuple[Generator, ...]:
+        """The generators as records, in canonical order; built on each read."""
+        maslov = self.maslov or (None,) * len(self.ids)
+        return tuple(map(Generator, self.ids, self.gradings, maslov))
+
+    @property
+    def differential(self) -> tuple[DiffEntry, ...]:
+        """The entries as records, in (src, dst, upower) order; built on each read."""
+        ids, arrows = self.ids, self.arrows
+        return tuple(DiffEntry(ids[s], ids[d], u) for s in _id_order(ids) for d, u in arrows[s])
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, int, int], ...]:
@@ -121,23 +268,15 @@ class CfkComplex:
             start = stop
         return tuple(out)
 
-    @cached_property
-    def arrows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The entries out of each generator, by index, as (dst index, upower)."""
-        index = {g.id: k for k, g in enumerate(self.generators)}
-        out: list[list[tuple[int, int]]] = [[] for _ in self.generators]
-        for e in self.differential:
-            out[index[e.src]].append((index[e.dst], e.upower))
-        return tuple(map(tuple, out))
-
     @property
     def maslov_present(self) -> bool:
-        return bool(self.generators) and self.generators[0].maslov is not None
+        return self.maslov is not None
 
     @cached_property
     def genus_bound(self) -> int:
         """max |A(x)|; a valid complex has |tau| <= g and |a1| <= 2g."""
-        return max((abs(g.alexander) for g in self.generators), default=0)
+        grades = self.gradings  # descending, so the extremes are at the ends
+        return max(abs(grades[0]), abs(grades[-1])) if grades else 0
 
 
 @dataclass
@@ -170,10 +309,10 @@ class ValidationReport:
         self.errors.extend(problems)
 
 
-def _named(gens, terms: list[tuple[int, int, int]]) -> list[tuple[str, str, int, tuple]]:
+def _named(ids, terms: list[tuple[int, int, int]]) -> list[tuple[str, str, int, tuple]]:
     """(src id, dst id, upower, (src, dst)) per term that breaks a rule, in
     the differential's order: ids are looked up for these terms only."""
-    return sorted((gens[s].id, gens[d].id, u, (s, d)) for s, d, u in terms)
+    return sorted((ids[s], ids[d], u, (s, d)) for s, d, u in terms)
 
 
 def validate(complex: CfkComplex) -> ValidationReport:
@@ -184,8 +323,7 @@ def validate(complex: CfkComplex) -> ValidationReport:
     reported as a warning only: subquotient machinery does not rely on it.
     """
     rep = ValidationReport()
-    gens, alex, arrows = complex.generators, complex.gradings, complex.arrows
-    m = [g.maslov for g in gens] if complex.maslov_present else None
+    ids, alex, m, arrows = complex.ids, complex.gradings, complex.maslov, complex.arrows
     # One pass over the entries checks both rules and d^2 = 0 as U-monomials:
     # every composite term occurs an even number of times, so each (source,
     # U power)'s XOR bitset of targets ends at zero.  This is the symbolic
@@ -203,15 +341,15 @@ def validate(complex: CfkComplex) -> ValidationReport:
         survivors += [(s, t, u) for u, bits in parity.items() if bits
                       for t in range(bits.bit_length()) if bits >> t & 1]
     rep._record("alexander-rule", [
-        f"entry {s}->{d} U^{u}: alexander grading rises" for s, d, u, _ in _named(gens, rises)
+        f"entry {s}->{d} U^{u}: alexander grading rises" for s, d, u, _ in _named(ids, rises)
     ])
     if m is not None:
         rep._record("maslov-rule", [
             f"entry {s}->{d} U^{u}: maslov {m[k[1]]} != {m[k[0]] - 1 + 2 * u}"
-            for s, d, u, k in _named(gens, bad)
+            for s, d, u, k in _named(ids, bad)
         ])
     rep._record("d-squared", [
-        f"d^2 term {s}->{t} U^{u} survives" for s, t, u, _ in _named(gens, survivors)
+        f"d^2 term {s}->{t} U^{u} survives" for s, t, u, _ in _named(ids, survivors)
     ])
 
     if rep.checks["alexander-rule"] and rep.checks["d-squared"]:
@@ -256,12 +394,26 @@ def mirror(complex: CfkComplex) -> CfkComplex:
         name = complex.name[2:-1] if layers else complex.name[1:]
     else:
         name = f"-({complex.name})" if _wrapped(complex.name) else "-" + complex.name
-    gens = tuple(
-        Generator(g.id, -g.alexander, None if g.maslov is None else -g.maslov)
-        for g in complex.generators
+    # Negated gradings descend in reversed block order, and each block keeps
+    # its ids in order; the entries into a generator, read with their
+    # sources by ascending id, come out in canonical order.
+    ids, grades, m, arrows = complex.ids, complex.gradings, complex.maslov, complex.arrows
+    new, old = [0] * len(ids), []  # new index per old index, old per new
+    for _, start, stop in reversed(complex.blocks):
+        new[start:stop] = range(len(old), len(old) + stop - start)
+        old += range(start, stop)
+    out: list[list[tuple[int, int]]] = [[] for _ in ids]
+    for s in _id_order(ids):
+        t = new[s]
+        for d, u in arrows[s]:
+            out[new[d]].append((t, u))
+    return CfkComplex._of(
+        name,
+        tuple(map(ids.__getitem__, old)),
+        tuple([-grades[k] for k in old]),
+        None if m is None else tuple([-m[k] for k in old]),
+        tuple(map(tuple, out)),
     )
-    entries = tuple(DiffEntry(e.dst, e.src, e.upower) for e in complex.differential)
-    return CfkComplex(name, gens, entries)
 
 
 def tensor(a: CfkComplex, b: CfkComplex) -> CfkComplex:
@@ -269,23 +421,26 @@ def tensor(a: CfkComplex, b: CfkComplex) -> CfkComplex:
 
     Generators are pairs x⊗y with gradings added; the differential follows
     the Leibniz rule (no signs over the two-element field).  Pairs whose ids
-    collide raise ParseError at construction.
+    collide raise ParseError, as the constructor would.
     """
-    keep_maslov = a.maslov_present and b.maslov_present
-
-    def pair(x: Generator, y: Generator) -> Generator:
-        m = x.maslov + y.maslov if keep_maslov else None
-        return Generator(f"{x.id}⊗{y.id}", x.alexander + y.alexander, m)
-
-    gens = tuple(pair(x, y) for x in a.generators for y in b.generators)
-    entries = []
-    for e in a.differential:
-        for y in b.generators:
-            entries.append(DiffEntry(f"{e.src}⊗{y.id}", f"{e.dst}⊗{y.id}", e.upower))
-    for e in b.differential:
-        for x in a.generators:
-            entries.append(DiffEntry(f"{x.id}⊗{e.src}", f"{x.id}⊗{e.dst}", e.upower))
-    return CfkComplex(f"{a.name} # {b.name}", gens, tuple(entries))
+    nb = len(b.ids)
+    ids = [f"{x}⊗{y}" for x in a.ids for y in b.ids]  # pair (i, j) at i * nb + j
+    gradings = [x + y for x in a.gradings for y in b.gradings]
+    maslov = None
+    if a.maslov is not None and b.maslov is not None:
+        maslov = [x + y for x in a.maslov for y in b.maslov]
+    order, by_id = _order(ids, gradings, maslov)
+    rank = _inverse(by_id)  # id rank per pair
+    # the id rank of the pair (i, j) is rows[i][j] and cols[j][i]
+    rows = [rank[i * nb:(i + 1) * nb] for i in range(len(a.ids))]
+    cols = [rank[j::nb] for j in range(nb)]
+    triples = [*chain.from_iterable(
+        zip(rows[s], rows[d], repeat(u)) for s, out in enumerate(a.arrows) for d, u in out
+    ), *chain.from_iterable(
+        zip(cols[s], cols[d], repeat(u)) for s, out in enumerate(b.arrows) for d, u in out
+    )]
+    arrays = _arrays(order, ids, gradings, maslov)
+    return CfkComplex._of(f"{a.name} # {b.name}", *arrays, _arrows(triples, ids, order, by_id))
 
 
 def direct_sum(a: CfkComplex, b: CfkComplex) -> CfkComplex:
@@ -294,14 +449,24 @@ def direct_sum(a: CfkComplex, b: CfkComplex) -> CfkComplex:
     The sum is a knot complex exactly when one summand carries the
     one-dimensional vertical homology and the other is vertically acyclic;
     like tensor, direct_sum does not check that, and validate reports the
-    sum's vertical-homology-rank.  Summands that share a generator id raise
-    ParseError at construction.
+    sum's vertical-homology-rank.  Summands that share a generator id, or
+    that differ in carrying Maslov gradings, raise ParseError, as the
+    constructor would.
     """
-    return CfkComplex(
-        f"{a.name} + {b.name}",
-        a.generators + b.generators,
-        a.differential + b.differential,
-    )
+    na, nb = len(a.ids), len(b.ids)
+    ids, gradings = a.ids + b.ids, a.gradings + b.gradings
+    maslov = None
+    if a.maslov is not None or b.maslov is not None:
+        maslov = (a.maslov or (None,) * na) + (b.maslov or (None,) * nb)
+    order, _ = _order(ids, gradings, maslov)
+    # ids do not change, so each generator's arrows stay in target id order
+    new = _inverse(order)
+    shifted = new[na:]
+    arrows = tuple([
+        tuple([(new[d], u) for d, u in a.arrows[p]]) if p < na
+        else tuple([(shifted[d], u) for d, u in b.arrows[p - na]]) for p in order
+    ])
+    return CfkComplex._of(f"{a.name} + {b.name}", *_arrays(order, ids, gradings, maslov), arrows)
 
 
 def _json_list(items: list[str]) -> str:
@@ -317,16 +482,16 @@ def serialize(complex: CfkComplex) -> str:
     go through json's own escaping, integers are written in decimal.
     """
     q = encode_basestring
-    gens = [
-        f'{{\n      "id": {q(g.id)},\n      "alexander": {g.alexander}'
-        + ("" if g.maslov is None else f',\n      "maslov": {g.maslov}')
-        + "\n    }"
-        for g in complex.generators
-    ]
+    ids, arrows = list(map(q, complex.ids)), complex.arrows
+    if complex.maslov is None:
+        gens = [f'{{\n      "id": {i},\n      "alexander": {a}\n    }}'
+                for i, a in zip(ids, complex.gradings)]
+    else:
+        gens = [f'{{\n      "id": {i},\n      "alexander": {a},\n      "maslov": {m}\n    }}'
+                for i, a, m in zip(ids, complex.gradings, complex.maslov)]
     entries = [
-        f'{{\n      "from": {q(e.src)},\n      "to": {q(e.dst)},'
-        f'\n      "upower": {e.upower}\n    }}'
-        for e in complex.differential
+        f'{{\n      "from": {ids[s]},\n      "to": {ids[d]},\n      "upower": {u}\n    }}'
+        for s in _id_order(complex.ids) for d, u in arrows[s]
     ]
     return (
         f'{{\n  "name": {q(complex.name)},\n  "generators": {_json_list(gens)},'
@@ -334,13 +499,44 @@ def serialize(complex: CfkComplex) -> str:
     )
 
 
+# (key, type as messages name it, the types it may have) per field of a
+# generator and of an entry; type(x) is int, not isinstance: JSON true and
+# false are bools, a subclass of int
+_GENERATOR_FIELDS = (
+    ("id", "a string", {str}), ("alexander", "an integer", {int}),
+    ("maslov", "an integer", {int, type(None)}),
+)
+_ENTRY_FIELDS = (("from", "a string", {str}), ("to", "a string", {str}),
+                 ("upower", "an integer", {int}))
+
+
+def _columns(items: list, what: str, fields: tuple) -> list[list]:
+    """One list per field of a list of JSON objects, type-checked whole.
+
+    On a wrong type, one pass over the objects names the first offender:
+    the first object that is none, or the first wrong field of the first
+    object that has one.
+    """
+    if set(map(type, items)) <= {dict}:
+        columns = [list(map(dict.get, items, repeat(key))) for key, _, _ in fields]
+        if all(set(map(type, column)) <= types for column, (_, _, types) in zip(columns, fields)):
+            return columns
+    for k, raw in enumerate(items):
+        if type(raw) is not dict:
+            raise ParseError(f"{what} {k}: must be an object")
+        for key, kind, types in fields:
+            if type(raw.get(key)) not in types:
+                raise ParseError(f"{what} {k}: field {key!r} must be {kind}")
+    raise AssertionError(f"every {what} has fields of the right types")
+
+
 def parse(text: str) -> CfkComplex:
     """Read a complex from its text form.
 
-    Raises ParseError for bad JSON syntax and for fields of the wrong type;
-    the constructor then raises it for broken structure (duplicate ids,
-    entries naming unknown generators, ...).  Algebraic axioms are checked
-    separately by validate().
+    Raises ParseError for bad JSON syntax and for fields of the wrong type,
+    then, like the constructor, for broken structure (duplicate ids, entries
+    naming unknown generators, ...), naming the same first offender.
+    Algebraic axioms are checked separately by validate().
     """
     try:
         data = json.loads(text)
@@ -351,8 +547,7 @@ def parse(text: str) -> CfkComplex:
     except ValueError as e:  # an integer past the interpreter's digit limit
         raise ParseError(f"number out of range: {e}") from None
 
-    # type(x) is int, not isinstance: JSON true and false are bools, a
-    # subclass of int.  Each message is built only when its check fails.
+    # Each message is built only when its check fails.
     if type(data) is not dict:
         raise ParseError("top level must be an object")
     for key in ("name", "generators", "differential"):
@@ -364,33 +559,10 @@ def parse(text: str) -> CfkComplex:
         if type(data[key]) is not list:
             raise ParseError(f"field {key!r} must be a list")
 
-    gens = []
-    for k, raw in enumerate(data["generators"]):
-        if type(raw) is not dict:
-            raise ParseError(f"generator {k}: must be an object")
-        gid, alexander, m = raw.get("id"), raw.get("alexander"), raw.get("maslov")
-        if type(gid) is not str:
-            raise ParseError(f"generator {k}: field 'id' must be a string")
-        if type(alexander) is not int:
-            raise ParseError(f"generator {k}: field 'alexander' must be an integer")
-        if m is not None and type(m) is not int:
-            raise ParseError(f"generator {k}: field 'maslov' must be an integer")
-        gens.append(Generator(gid, alexander, m))
-
-    entries = []
-    for k, raw in enumerate(data["differential"]):
-        if type(raw) is not dict:
-            raise ParseError(f"differential entry {k}: must be an object")
-        src, dst, upower = raw.get("from"), raw.get("to"), raw.get("upower")
-        if type(src) is not str:
-            raise ParseError(f"differential entry {k}: field 'from' must be a string")
-        if type(dst) is not str:
-            raise ParseError(f"differential entry {k}: field 'to' must be a string")
-        if type(upower) is not int:
-            raise ParseError(f"differential entry {k}: field 'upower' must be an integer")
-        entries.append(DiffEntry(src, dst, upower))
-
-    return CfkComplex(data["name"], tuple(gens), tuple(entries))
+    # popped, so that each list of JSON objects is freed once read
+    ids, gradings, maslov = _columns(data.pop("generators"), "generator", _GENERATOR_FIELDS)
+    srcs, dsts, upowers = _columns(data.pop("differential"), "differential entry", _ENTRY_FIELDS)
+    return CfkComplex._of(data["name"], *_structure(ids, gradings, maslov, srcs, dsts, upowers))
 
 
 def load_file(path: str) -> CfkComplex:

@@ -70,7 +70,7 @@ def realize(complex: CfkComplex, region: Region, level: Level | None = None) -> 
             blocks.append((level(shape, t, *p) if level else 0, start, stop, p[0]))
     if level:
         blocks.sort(key=itemgetter(0))
-    n = len(complex.generators)
+    n = len(complex.ids)
     at: list = [None] * n  # i per generator index; None off the region
     position = [0] * n  # basis position per generator index
     keep: list[int] = []

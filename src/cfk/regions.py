@@ -74,9 +74,9 @@ class Region:
 
     def lattice_points(self, complex: CfkComplex, index) -> tuple[LatticePoint, ...]:
         """The point [x, i, j] of each indexed generator x: a realization's basis points."""
-        gens = complex.generators
+        ids, grades = complex.ids, complex.gradings
         at = {a: self.point(a) for a, _, _ in complex.blocks}
-        return tuple([LatticePoint(gens[k].id, *at[gens[k].alexander]) for k in index])
+        return tuple([LatticePoint(ids[k], *at[grades[k]]) for k in index])
 
     def describe(self) -> str:
         equation, clipped = _SHAPES[self.shape]

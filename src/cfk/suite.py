@@ -64,7 +64,7 @@ class SuiteContext:
         self.pool = list(self.library.values()) + randoms + extras
         # smaller pools for the properties whose cost is quadratic in size
         self.small_pool = list(self.library.values()) + randoms[:10] + extras
-        self.tiny_pool = [c for c in self.small_pool if len(c.generators) <= 20]
+        self.tiny_pool = [c for c in self.small_pool if len(c.ids) <= 20]
 
 
 Property = Callable[[SuiteContext], tuple[int, list[str]]]
@@ -137,7 +137,7 @@ def prop_euler_characteristic(c: CfkComplex) -> str | None:
     # flips the Maslov parity, so each homology representative is homogeneous
     # and counts with its top point's parity
     _, index, h = column(c)
-    sign = [1 - 2 * (g.maslov % 2) for g in c.generators]  # by generator index
+    sign = [1 - 2 * (m % 2) for m in c.maslov]  # by generator index
     chi = sum(sign[k] for k in index)
     counted = sum(sign[index[z.bit_length() - 1]] for z in h.representatives)
     return _offender(c, "euler characteristic mismatch on the column") if counted != chi else None
@@ -245,7 +245,7 @@ def _hook_points(ctx: SuiteContext) -> Iterator[tuple[CfkComplex, int, int, Latt
     for c in ctx.small_pool:
         g = c.genus_bound
         for m in range(-g, g + 1):  # the unclipped hook holds each generator once
-            hook = Region("hook", m).lattice_points(c, range(len(c.generators)))
+            hook = Region("hook", m).lattice_points(c, range(len(c.ids)))
             for n in (1, 2, 2 * g + 1):
                 yield from ((c, m, n, p) for p in hook)
 

@@ -1,5 +1,7 @@
 """Independent oracles: exhaustive enumeration, sympy algebra, a linear-scan
-elimination, cutoff walks and json's own writer for the canonical text.
+elimination, cutoff walks, json's own writer for the canonical text and a
+record-level model of a complex, read from that text as sets of records,
+with its own tensor, mirror and direct sum.
 
 The enumeration, sympy and linear-scan oracles avoid the package's
 elimination code paths, so the fast implementations are checked against
@@ -148,6 +150,71 @@ def to_dict(complex) -> dict:
 def json_text(complex) -> str:
     """The reference for serialize: json.dumps of to_dict, two-space indent."""
     return json.dumps(to_dict(complex), ensure_ascii=False, indent=2) + "\n"
+
+
+# -- a record-level model of a complex, read from its text ------------------------
+
+
+class Records(NamedTuple):
+    """A complex as sets of records read from its serialized JSON: (id, A, M)
+    per generator, M None when absent, and (src id, dst id, upower) per entry.
+
+    The structural operations below are written on these sets, from their
+    definitions, with no array, index or canonical order of the package.
+    """
+
+    name: str
+    generators: frozenset
+    entries: frozenset
+
+    @classmethod
+    def of(cls, text: str) -> "Records":
+        data = json.loads(text)
+        gens = frozenset((g["id"], g["alexander"], g.get("maslov")) for g in data["generators"])
+        entries = frozenset((e["from"], e["to"], e["upower"]) for e in data["differential"])
+        assert len(gens) == len(data["generators"]) and len(entries) == len(data["differential"])
+        return cls(data["name"], gens, entries)
+
+    @property
+    def graded(self) -> bool:
+        return any(m is not None for _, _, m in self.generators)
+
+
+def canonical_order(text: str) -> bool:
+    """Whether the text lists generators by (alexander descending, id) and
+    entries by (src, dst, upower)."""
+    data = json.loads(text)
+    gens = [(-g["alexander"], g["id"]) for g in data["generators"]]
+    entries = [(e["from"], e["to"], e["upower"]) for e in data["differential"]]
+    return gens == sorted(gens) and entries == sorted(entries)
+
+
+def records_mirror(r: Records) -> tuple[frozenset, frozenset]:
+    """Generators and entries of the dual: gradings negated, entries reversed."""
+    gens = frozenset((x, -a, None if m is None else -m) for x, a, m in r.generators)
+    return gens, frozenset((d, s, u) for s, d, u in r.entries)
+
+
+def records_tensor(r: Records, q: Records) -> Records:
+    """Pairs x⊗y with added gradings (Maslov only when both carry it), and
+    the Leibniz rule: d(x⊗y) = dx⊗y + x⊗dy."""
+    graded = r.graded and q.graded
+    gens = frozenset(
+        (f"{x}⊗{y}", a + b, m + n if graded else None)
+        for x, a, m in r.generators for y, b, n in q.generators
+    )
+    entries = frozenset(
+        (f"{s}⊗{y}", f"{d}⊗{y}", u) for s, d, u in r.entries for y, _, _ in q.generators
+    ) | frozenset(
+        (f"{x}⊗{s}", f"{x}⊗{d}", u) for x, _, _ in r.generators for s, d, u in q.entries
+    )
+    return Records(f"{r.name} # {q.name}", gens, entries)
+
+
+def records_sum(r: Records, q: Records) -> Records:
+    """The disjoint union; the ids must not meet."""
+    assert not {x for x, _, _ in r.generators} & {x for x, _, _ in q.generators}
+    return Records(f"{r.name} + {q.name}", r.generators | q.generators, r.entries | q.entries)
 
 
 # -- linear-scan elimination: every basis vector visited in insertion order -----

@@ -1,9 +1,9 @@
+import gc
 import json
 import pickle
 import random
 import re
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -111,9 +111,10 @@ def test_structural_rule_is_kept_from_construction_on(capsys, tmp_path, rule):
 
 
 def test_negative_upower_reported(trefoil):
-    # replace re-runs construction, so no copy can carry a broken entry
+    # construction checks every entry, so no copy can carry a broken entry
+    broken = (DiffEntry("b1", "b2", -1), trefoil.differential[0])
     with pytest.raises(ParseError, match="^entry b1->b2: negative upower -1$"):
-        replace(trefoil, differential=(DiffEntry("b1", "b2", -1), trefoil.differential[0]))
+        CfkComplex(trefoil.name, trefoil.generators, broken)
 
 
 def test_unknown_reference_reported():
@@ -283,11 +284,11 @@ def test_mirror_names_a_sum_as_a_whole(library):
         assert mirror(mirror(c)).name == c.name
     # a name read from a file may start with '(' or '--': it is wrapped whole,
     # so it never shares a mirror name with A # B or with -T(2,3)
-    assert mirror(replace(t23, name="(A # B)")).name == "-((A # B))"
-    assert mirror(replace(t23, name="--(A # B)")).name == "-(--(A # B))"
-    assert mirror(replace(t23, name="--T(2,3)")).name == "-(--T(2,3))"
+    assert mirror(t23.renamed("(A # B)")).name == "-((A # B))"
+    assert mirror(t23.renamed("--(A # B)")).name == "-(--(A # B))"
+    assert mirror(t23.renamed("--T(2,3)")).name == "-(--T(2,3))"
     for name in ("(A # B)", "--(A # B)", "--T(2,3)", "-(-T(2,3))", "-(a)b", "()"):
-        assert mirror(mirror(replace(t23, name=name))).name == name
+        assert mirror(mirror(t23.renamed(name))).name == name
 
 
 def test_mirror_reverses_and_negates(trefoil):
@@ -514,7 +515,7 @@ def test_genus_bound_is_cached_per_value(t45):
     c = parse(serialize(t45))
     assert "genus_bound" not in vars(c)
     assert c.genus_bound == 6 and vars(c)["genus_bound"] == 6
-    wider = replace(c, generators=c.generators + (Generator("far", -9, 0),))
+    wider = CfkComplex(c.name, c.generators + (Generator("far", -9, 0),), c.differential)
     assert "genus_bound" not in vars(wider) and wider.genus_bound == 9
     back = pickle.loads(pickle.dumps(c))
     assert back == c and hash(back) == hash(c) and back.genus_bound == 6
@@ -537,7 +538,7 @@ def test_round_trip_keeps_equality_and_hash(trefoil, t45):
 
 
 def test_name_is_a_label_not_part_of_equality(trefoil, cold_caches):
-    renamed = replace(trefoil, name="x")
+    renamed = trefoil.renamed("x")
     assert renamed == trefoil and hash(renamed) == hash(trefoil)
     # so the caches keyed on a complex share one entry across names
     assert column(trefoil) is column(renamed)
@@ -548,16 +549,18 @@ def test_name_is_a_label_not_part_of_equality(trefoil, cold_caches):
     assert invariants(renamed).name == "x" and invariants(trefoil).name == "T(2,3)"
 
 
-def test_replace_computes_a_fresh_hash(trefoil):
+def test_renamed_shares_the_arrays(trefoil):
     hash(trefoil)
-    renamed = replace(trefoil, name="other")
-    assert "_hash" not in vars(renamed)
-    assert hash(renamed) == hash((trefoil.generators, trefoil.differential))
-    assert hash(renamed) == hash(trefoil)
-    cut = replace(renamed, differential=trefoil.differential[:1])
+    renamed = trefoil.renamed("other")
+    assert renamed.name == "other" and trefoil.name == "T(2,3)"
+    for key in ("ids", "gradings", "maslov", "arrows", "_hash"):
+        assert vars(renamed)[key] is vars(trefoil)[key]
+    assert renamed == trefoil and hash(renamed) == hash(trefoil)
+    # a complex built afresh computes its own hash, once
+    cut = CfkComplex("other", trefoil.generators, trefoil.differential[:1])
     assert "_hash" not in vars(cut)
-    assert hash(cut) == hash((trefoil.generators, trefoil.differential[:1]))
-    assert cut != trefoil
+    assert cut != trefoil and hash(cut) == hash(cut)
+    assert "_hash" in vars(cut)
 
 
 def test_cached_hash_stays_private(trefoil):
@@ -571,3 +574,37 @@ def test_cached_hash_stays_private(trefoil):
     assert repr(trefoil) == repr(fresh)
     # string hashes differ between processes, so a pickle must not carry one
     assert "_hash" not in vars(pickle.loads(pickle.dumps(trefoil)))
+
+
+def _held(complex: CfkComplex) -> list:
+    """Every object a complex holds: gc.get_referents walked from the values
+    of its attributes (their names belong to the class, not to the value)."""
+    seen, held, stack = set(), [], list(vars(complex).values())
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen and not isinstance(obj, type):
+            seen.add(id(obj))
+            held.append(obj)
+            stack += gc.get_referents(obj)
+    return held
+
+
+def test_a_complex_holds_arrays_only(trefoil, t29):
+    made = {
+        "constructor": trefoil,
+        "parse": parse(serialize(t29)),
+        "tensor": tensor(trefoil, t29),
+        "mirror": mirror(t29),
+        "direct_sum": direct_sum(trefoil, box(prefix="s.")),
+        "renamed": t29.renamed("other"),
+    }
+    for how, c in made.items():
+        hash(c), c.blocks, c.genus_bound  # what a complex derives is held too
+        assert not [x for x in _held(c) if isinstance(x, (Generator, DiffEntry))], how
+    # one string per generator, formed once by tensor, and the name
+    big = tensor(tensor(t29, t29), t29)
+    hash(big), big.blocks
+    strings = [x for x in _held(big) if isinstance(x, str)]
+    assert len(big.ids) == 729 and len(strings) <= 729 + 1
+    with pytest.raises(AttributeError):
+        big.name = "other"
