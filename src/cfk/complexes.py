@@ -14,13 +14,14 @@ immutable values and work on the arrays.
 from __future__ import annotations
 
 import json
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import chain, groupby, islice, repeat
 from json.encoder import encode_basestring
 from operator import eq
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 
 class CfkError(Exception):
@@ -233,7 +234,7 @@ class CfkComplex:
         return hash(self._key())
 
     def __hash__(self) -> int:
-        # Complexes key the lru caches, so hash the arrays once.
+        # Complexes key the lifetime caches, so hash the arrays once.
         return self._hash
 
     def __getstate__(self) -> dict:
@@ -277,6 +278,69 @@ class CfkComplex:
         """max |A(x)|; a valid complex has |tau| <= g and |a1| <= 2g."""
         grades = self.gradings  # descending, so the extremes are at the ends
         return max(abs(grades[0]), abs(grades[-1])) if grades else 0
+
+
+class CacheInfo(NamedTuple):
+    """lru_cache's cache_info() fields; a lifetime cache has no maxsize."""
+
+    hits: int
+    misses: int
+    maxsize: None
+    currsize: int
+
+
+def lifetime_cache(fn: Callable) -> Callable:
+    """fn(complex, *key), cached for as long as the complex lives.
+
+    Entries are keyed weakly on the complex, by the structural equality and
+    hash above: an entry lives exactly as long as the complex it was first
+    computed for, an equal complex reads it while that one lives, and a
+    temporary's entries go with the temporary.  A function of the complex
+    alone holds its value directly; one with more arguments holds one dict
+    of (argument tuple, value) entries per complex.  No value may refer to
+    its complex, or the complex would never go.  ``cache_info()`` and
+    ``cache_clear()`` mean what lru_cache's do; currsize counts values.
+    """
+    entries: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    counts = [0, 0]  # hits, misses
+    missing = object()
+
+    if fn.__code__.co_argcount > 1:
+        @wraps(fn)
+        def cached(complex, *key):
+            held = entries.get(complex)
+            if held is None:
+                held = entries[complex] = {}
+            value = held.get(key, missing)
+            if value is missing:
+                counts[1] += 1
+                value = held[key] = fn(complex, *key)
+            else:
+                counts[0] += 1
+            return value
+
+        def size() -> int:
+            return sum(map(len, entries.values()))
+    else:
+        @wraps(fn)
+        def cached(complex):
+            value = entries.get(complex, missing)
+            if value is missing:
+                counts[1] += 1
+                value = entries[complex] = fn(complex)
+            else:
+                counts[0] += 1
+            return value
+
+        size = entries.__len__
+
+    def cache_clear() -> None:
+        entries.clear()
+        counts[:] = [0, 0]
+
+    cached.cache_info = lambda: CacheInfo(*counts, None, size())
+    cached.cache_clear = cache_clear
+    return cached
 
 
 @dataclass
@@ -368,6 +432,15 @@ def validate(complex: CfkComplex) -> ValidationReport:
     return rep
 
 
+def _balanced(name: str) -> bool:
+    depth = 0
+    for ch in name:
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            return False
+    return depth == 0
+
+
 def _wrapped(name: str) -> bool:
     """Whether a name that is not a mirror's mirrors to -( name ): it balances its
     parentheses and starts with '-' or '(' or joins names by ' # ' or ' + ' outside them."""
@@ -384,16 +457,23 @@ def mirror(complex: CfkComplex) -> CfkComplex:
     """Dual complex: reverse every entry, negate both gradings.
 
     Reversing an entry keeps its U power, so the grading rules hold again after
-    negation; mirror twice gives back an equal complex and any balanced name, as a
+    negation; mirror twice gives back an equal complex and its name.  A balanced
     name is a mirror's when it is -X, X not wrapped, or -(Y), Y wrapped and not a
-    mirror's (peeled -( ) layers flip that), and A # B mirrors to -(A # B)."""
+    mirror's (peeled -( ) layers flip that), and A # B mirrors to -(A # B).  An
+    unbalanced name, which no builder makes, is a mirror's when it starts with an
+    odd number of '-', and mirrors by dropping or adding one '-': wrapping it in
+    -( ) could balance it, and ')(' would then share -()()'s mirror name."""
     name, layers = complex.name, 0
-    while name.startswith("-(") and name.endswith(")") and _wrapped(name[2:-1]):
-        name, layers = name[2:-1], layers + 1
-    if (name.startswith("-") and not _wrapped(name[1:])) != (layers % 2 == 1):
-        name = complex.name[2:-1] if layers else complex.name[1:]
+    if not _balanced(name):
+        run = len(name) - len(name.lstrip("-"))
+        name = name[1:] if run % 2 else "-" + name
     else:
-        name = f"-({complex.name})" if _wrapped(complex.name) else "-" + complex.name
+        while name.startswith("-(") and name.endswith(")") and _wrapped(name[2:-1]):
+            name, layers = name[2:-1], layers + 1
+        if (name.startswith("-") and not _wrapped(name[1:])) != (layers % 2 == 1):
+            name = complex.name[2:-1] if layers else complex.name[1:]
+        else:
+            name = f"-({complex.name})" if _wrapped(complex.name) else "-" + complex.name
     # Negated gradings descend in reversed block order, and each block keeps
     # its ids in order; the entries into a generator, read with their
     # sources by ascending id, come out in canonical order.

@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from . import gf2
-from .complexes import CfkComplex
+from .complexes import CfkComplex, lifetime_cache
 from .regions import Region, RegionError
 
 # level(shape, t, i, j): the level of the point (i, j) of the region at t
@@ -136,13 +136,15 @@ def _by_j(shape: str, t: int, i: int, j: int) -> int:
 Column = NamedTuple("Column", [("levels", tuple), ("index", tuple), ("homology", HomologyResult)])
 
 
-@lru_cache(maxsize=4096)
+@lifetime_cache
 def column(complex: CfkComplex) -> Column:
     """The column at i = 0, realized in ascending j: levels, generator indices, homology.
 
     The one reduction of the column: validate's rank check, tau, the death
     reader, the suite's Euler characteristic and the report's vertical
     dimension all read it, and none reads its boundary, which is not kept.
+    It is cached for as long as the complex lives (see lifetime_cache): an
+    equal complex shares it meanwhile, and a temporary's column goes with it.
     It raises RegionError when a U^0 entry breaks the Alexander rule;
     validate reads it only once that rule and d^2 = 0 have passed.
     """

@@ -22,14 +22,18 @@ reductions finds a level.  Both routes read a1 through one signed reader,
 _a1, which is given epsilon's sign and reads the level at which the map
 of that sign dies.
 
-Caches are keyed on the knot complex plus small values, never on a chain
-complex, and cfk has two: homology.column on the complex, which keeps no
-boundary, and the death reader here on (complex, shape, route); realize
-caches nothing, so a realization lives only while it is read.  A route is
-a hashable value, _by_i or _by_steps(n), so a repeated read costs one
-cache lookup and never re-levels a region.  On a miss, a route that gives
-i on every grading's point reads the _by_i entry, so the surgery route
-shares the algebraic route's reductions wherever the two agree.  tau,
+Caches are keyed on the knot complex, never on a chain complex, and each
+entry lives exactly as long as the complex it was first computed for
+(complexes.lifetime_cache).  cfk has two: homology.column, which keeps no
+boundary, and the death reader here, one entry per (shape, route) of a
+complex.  An equal complex shares those entries while that complex lives,
+and a temporary, such as a mirror or a tensor built for one check, takes
+its entries with it when it goes.  realize caches nothing, so a
+realization lives only while it is read.  A route is a hashable value,
+_by_i or _by_steps(n), so a repeated read costs one cache lookup and
+never re-levels a region.  On a miss, a route that gives i on every
+grading's point reads the _by_i entry, so the surgery route shares the
+algebraic route's reductions wherever the two agree.  tau,
 epsilon and a1 are plain reads of those entries, and a report reads the
 two algebraic deaths once, for epsilon and the hook dimensions.
 """
@@ -37,11 +41,10 @@ two algebraic deaths once, for epsilon and the hook dimensions.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import gf2
-from .complexes import CfkComplex, CfkError, ParameterError, tensor
+from .complexes import CfkComplex, CfkError, ParameterError, lifetime_cache, tensor
 from .homology import Level, column, realize
 from .regions import Region
 
@@ -103,7 +106,7 @@ class _Death(NamedTuple):
     target_dim: int  # dimension of the target's homology
 
 
-@lru_cache(maxsize=4096)
+@lifetime_cache
 def _death(complex: CfkComplex, shape: str, route: Level) -> _Death:
     """Where the map between the column and the hook or lhook at tau dies.
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import pickle
 import random
@@ -289,6 +290,19 @@ def test_mirror_names_a_sum_as_a_whole(library):
     assert mirror(t23.renamed("--T(2,3)")).name == "-(--T(2,3))"
     for name in ("(A # B)", "--(A # B)", "--T(2,3)", "-(-T(2,3))", "-(a)b", "()"):
         assert mirror(mirror(t23.renamed(name))).name == name
+
+
+def test_mirror_returns_every_short_name(trefoil):
+    # all 19,531 names of at most 6 symbols from "-", "(", ")", "a" and " # ",
+    # balanced or not, come back after two mirrors
+    symbols = ("-", "(", ")", "a", " # ")
+    names = ["".join(p) for k in range(7) for p in itertools.product(symbols, repeat=k)]
+    assert len(names) == 19531
+    assert [mirror(mirror(trefoil.renamed(x))).name for x in names] == names
+    # an unbalanced name gains or drops one '-', so it stays unbalanced and
+    # never takes a balanced name's mirror name: ')(' and '-()()' stay apart
+    mirrored = {x: mirror(trefoil.renamed(x)).name for x in ("--(", "-(", ")(", "-()()")}
+    assert mirrored == {"--(": "---(", "-(": "(", ")(": "-)(", "-()()": "-(-()())"}
 
 
 def test_mirror_reverses_and_negates(trefoil):

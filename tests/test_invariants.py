@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +12,7 @@ from cfk.builders import (
     thin_model,
     torus_knot_exponents,
 )
-from cfk.complexes import mirror, parse, tensor, validate
+from cfk.complexes import mirror, parse, serialize, tensor, validate
 from cfk import gf2, invariants as invariants_module
 from cfk.invariants import (
     SearchExhausted,
@@ -29,13 +31,15 @@ from cfk.invariants import (
 )
 from cfk.regions import Region
 from cfk.homology import F2Complex, column, homology, realize
-from cfk.suite import SuiteContext, prop_i_filtration
+from cfk.suite import SuiteContext, prop_i_filtration, run_suite
 
 from oracles import (
     a1_algebraic_by_walk,
     a1_surgery_by_walk,
     epsilon_by_maps,
+    g_map,
     hook_step,
+    is_trivial,
     lhook_step,
     tau_by_walk,
 )
@@ -303,6 +307,25 @@ def test_step_reader_matches_the_walk_at_every_n():
     assert truncated > 0
 
 
+def test_nu_law(library):
+    # nu is the least s at which the oracle's unclipped hook-to-column map at
+    # s is nonzero on homology; Hom's relation (J. Topol. 2014) gives
+    # nu = tau + 1 when epsilon = -1 and nu = tau otherwise.  It reads the
+    # hook at every s, through the oracle's own regions and maps
+    randoms = [random_model(seed) for seed in range(300)]
+    pool = dict.fromkeys([*library.values(), *randoms])
+    pool = dict.fromkeys([*pool, *map(mirror, pool)])
+    assert len(pool) == 429
+    signs = set()
+    for c in pool:
+        g = c.genus_bound
+        nu = next((s for s in range(-g - 1, g + 2) if not is_trivial(g_map(c, s))), None)
+        t, eps = tau(c), epsilon(c)
+        assert nu == t + (eps == -1), (c.name, nu, t, eps)
+        signs.add(eps)
+    assert signs == {-1, 0, 1}
+
+
 def test_hook_and_lhook_readings_are_mirror_images(library):
     # the lhook at t is the mirror image of the hook at -t, on every route,
     # so the hook's pairing reading and the lhook's appended reading of the
@@ -349,6 +372,22 @@ def test_reports_keep_no_realization(library, cold_caches):
         assert not any(isinstance(v, F2Complex) for v in column(c))
         assert column.cache_info().misses == 1
     assert [f.__name__ for f in cold_caches()] == ["_death", "column", "realize"]
+
+
+def test_cached_reductions_go_with_their_complex(library, cold_caches):
+    # an entry lives exactly as long as the complex it was computed for: a
+    # parsed, validated and reported complex leaves no entry once dropped,
+    # and a suite run leaves none once it returns
+    c = parse(serialize(library["T(2,9)"]))
+    assert validate(c).ok
+    invariants(c)
+    assert column.cache_info().currsize == 1 and _death.cache_info().currsize == 3
+    del c
+    gc.collect()
+    assert column.cache_info().currsize == 0 == _death.cache_info().currsize
+    assert run_suite(2, emit=lambda line: None)
+    gc.collect()
+    assert column.cache_info().currsize == 0 == _death.cache_info().currsize
 
 
 def test_report_cost_and_route_sharing(library, monkeypatch, cold_caches):
