@@ -4,24 +4,24 @@ A complex is a finite set of generators, each carrying an Alexander grading
 (and optionally a Maslov grading), together with differential entries of the
 form ``d(src) += U^k * dst``.  A generator ``x`` occupies the lattice points
 ``[x, i, i + A(x)]``; multiplication by U shifts a point to ``(i-1, j-1)``.
-A complex holds only canonical arrays indexed by generator: its ids, its
-gradings and, per generator, the entries out of it as (target index, U
-power).  Ids are read only at the edges: by ``parse`` and the constructor,
-by ``serialize`` and in messages.  All structural operations return new
-immutable values and work on the arrays.
+A complex holds only flat canonical arrays: per generator its interned id,
+gradings and entry offset, per entry its target index and U power.  Ids are
+read only at the edges: by ``parse`` and the constructor, by ``serialize``
+and in messages.  All structural operations return new immutable values
+and work on the arrays.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import weakref
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from itertools import chain, groupby, islice, repeat
+from itertools import accumulate, chain, groupby, islice, repeat
 from json.encoder import encode_basestring
-from operator import eq
-from typing import Callable, Iterable, NamedTuple
+from operator import sub
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class CfkError(Exception):
@@ -55,17 +55,12 @@ class DiffEntry(NamedTuple):
     upower: int
 
 
-def _id_order(ids) -> list[int]:
-    """Generator indices by ascending id.  A canonical order is a run of
-    ascending ids per grading, so the sort merges those runs."""
-    return sorted(range(len(ids)), key=ids.__getitem__)
-
-
-def _inverse(perm: list[int]) -> list[int]:
-    inverse = [0] * len(perm)
-    for k, p in enumerate(perm):
-        inverse[p] = k
-    return inverse
+def _by_source_id(c: CfkComplex) -> list[tuple[int, range]]:
+    """(source, index range of its entries) per generator by ascending id:
+    the entries read in this order are in (src, dst, upower) order.  A
+    canonical order is a run of ascending ids per grading: the sort merges them."""
+    o, ids = c.offsets, c.ids
+    return [(s, range(o[s], o[s + 1])) for s in sorted(range(len(ids)), key=ids.__getitem__)]
 
 
 def _order(ids, gradings, maslov) -> tuple[list[int], list[int]]:
@@ -75,7 +70,7 @@ def _order(ids, gradings, maslov) -> tuple[list[int], list[int]]:
     Raises ParseError naming the first generator in canonical order that
     repeats an id or breaks Maslov uniformity (``maslov`` is None for none).
     """
-    by_id = _id_order(ids)
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
     order = sorted(by_id, key=gradings.__getitem__, reverse=True)  # ties stay in id order
     mixed = maslov is not None and 0 < maslov.count(None) < len(maslov)
     if mixed or len(set(ids)) < len(ids):
@@ -90,40 +85,38 @@ def _order(ids, gradings, maslov) -> tuple[list[int], list[int]]:
     return order, by_id
 
 
-def _arrays(order: list[int], ids, gradings, maslov) -> tuple:
-    """The generator arrays in the given order: ids, gradings, maslov."""
+def _canonical(order: list[int], by_id: list[int], ids, gradings, maslov,
+               sources: Iterable[int], targets: Iterable[int], upowers: Sequence[int]) -> tuple:
+    """The canonical arrays (ids, gradings, maslov, targets, upowers, offsets)
+    of generator columns with the orders of _order and of entries given by
+    source and target position and U power, both in any order.  Ids are
+    interned, so equal labels built or parsed apart are one object.  An
+    entry is one int key, (canonical source, target id rank, U power), so one
+    sort of ints orders the entries and no object per entry outlives the call.
+    """
+    ids = tuple(map(sys.intern, map(ids.__getitem__, order)))  # in canonical order from here on
+    n, shift = len(order), max(upowers, default=0).bit_length()
+    new, rank = [0] * n, [0] * n  # canonical index and id rank per position
+    for k, p, q in zip(range(n), order, by_id):
+        new[p], rank[q] = k, k
+    keys = [(new[s] * n + rank[d] << shift) | u for s, d, u in zip(sources, targets, upowers)]
+    keys.sort()
+    index = list(map(new.__getitem__, by_id))  # canonical index per id rank
+    mask, stride = (1 << shift) - 1, n << shift
+    if len(set(keys)) < len(keys):  # name the first repeat in (src, dst, upower) order
+        raise ParseError(_bad_entry(ids, [
+            (ids[k // stride], ids[index[(k >> shift) % n]], k & mask) for k in keys]))
+    counts = [0] * n
+    for k in keys:
+        counts[k // stride] += 1
     return (
-        tuple(map(ids.__getitem__, order)),
+        ids,
         tuple(map(gradings.__getitem__, order)),
         None if maslov is None else tuple(map(maslov.__getitem__, order)),
+        tuple([index[(k >> shift) % n] for k in keys]),
+        tuple([k & mask for k in keys]),
+        (0, *accumulate(counts)),
     )
-
-
-def _arrows(triples: list[tuple[int, int, int]], ids, order: list[int], by_id: list[int]):
-    """Canonical arrows from (src, dst, upower) triples, src and dst given by
-    id rank, for generators listed as ``ids`` with the canonical order and
-    the id order of _order: per source, (target index, U power) sorted by
-    target id and U power.
-
-    Raises ParseError naming the first repeated entry in (src, dst, upower)
-    order: once sorted, a repeat is adjacent.
-    """
-    triples.sort()
-    if any(map(eq, triples, islice(triples, 1, None))):
-        s, d, u = next(x for x, y in zip(triples, triples[1:]) if x == y)
-        raise ParseError(f"duplicate entry {ids[by_id[s]]}->{ids[by_id[d]]} U^{u}")
-    index = _inverse(order)
-    index = [index[p] for p in by_id]  # canonical index per id rank
-    arrows: list = [()] * len(index)
-    if triples:
-        sources, targets, upowers = zip(*triples)
-        pairs = list(zip(map(index.__getitem__, targets), upowers))
-        start = 0
-        for r in dict.fromkeys(sources):  # ascending, as the triples are sorted
-            stop = bisect_right(sources, r, start)
-            arrows[index[r]] = tuple(pairs[start:stop])
-            start = stop
-    return tuple(arrows)
 
 
 def _bad_entry(ids, entries) -> str:
@@ -145,8 +138,8 @@ def _bad_entry(ids, entries) -> str:
 
 
 def _structure(ids: list, gradings: list, maslov: list, srcs: list, dsts: list, upowers: list):
-    """Canonical arrays (ids, gradings, maslov, arrows) from one column per
-    generator field and one per entry field, each in any order.
+    """Canonical arrays from one column per generator field and one per
+    entry field, each in any order.
 
     The structural rules are checked here, on construction and parse alike,
     and the first offender is named: generators in canonical order first,
@@ -155,12 +148,11 @@ def _structure(ids: list, gradings: list, maslov: list, srcs: list, dsts: list, 
     if maslov.count(None) == len(maslov):
         maslov = None
     order, by_id = _order(ids, gradings, maslov)
-    rank = dict(zip(map(ids.__getitem__, by_id), range(len(ids))))
-    sources, targets = list(map(rank.get, srcs)), list(map(rank.get, dsts))
+    position = dict(zip(ids, range(len(ids))))
+    sources, targets = list(map(position.get, srcs)), list(map(position.get, dsts))
     if None in sources or None in targets or min(upowers, default=0) < 0:
         raise ParseError(_bad_entry(ids, zip(srcs, dsts, upowers)))
-    triples = list(zip(sources, targets, upowers))
-    return (*_arrays(order, ids, gradings, maslov), _arrows(triples, ids, order, by_id))
+    return _canonical(order, by_id, ids, gradings, maslov, sources, targets, upowers)
 
 
 class CfkComplex:
@@ -168,12 +160,13 @@ class CfkComplex:
 
     Canonical order is (alexander descending, id ascending) for generators
     and, per generator, (target id, upower) for the entries out of it,
-    matching the on-disk serialization.  A complex holds only ``name``,
-    ``ids``, ``gradings`` (the Alexander grading per generator index),
-    ``maslov`` (the Maslov grading per index, or None) and ``arrows`` (the
-    entries out of each generator as (target index, U power)).
-    ``generators`` and ``differential`` give the same complex as records,
-    built on each read, for callers that want records.
+    matching the on-disk serialization.  A complex holds only ``name`` and
+    flat tuples: per generator index ``ids`` (interned: equal labels are one
+    object in every complex), ``gradings`` (Alexander) and ``maslov`` (or
+    None); per entry, grouped by source in canonical order, ``targets`` (the
+    target index) and ``upowers``; and ``offsets``: generator k's entries are
+    ``[offsets[k], offsets[k + 1])``.  ``generators`` and ``differential``
+    give the records back, built on each read.
 
     ``CfkComplex(name, generators, differential)`` takes records in any
     order and enforces the structural rules, so no other code checks them:
@@ -184,28 +177,28 @@ class CfkComplex:
     a complex share entries across names, and ``renamed`` shares the arrays.
     """
 
+    _fields = ("name", "ids", "gradings", "maslov", "targets", "upowers", "offsets")
     name: str
     ids: tuple[str, ...]
     gradings: tuple[int, ...]
     maslov: tuple[int, ...] | None
-    arrows: tuple[tuple[tuple[int, int], ...], ...]
+    targets: tuple[int, ...]
+    upowers: tuple[int, ...]
+    offsets: tuple[int, ...]
 
     def __init__(self, name: str, generators: Iterable[Generator] = (),
                  differential: Iterable[DiffEntry] = ()) -> None:
         gens, entries = tuple(generators), tuple(differential)
-        self._hold(name, *_structure(
+        vars(self).update(zip(self._fields, (name, *_structure(
             [g.id for g in gens], [g.alexander for g in gens], [g.maslov for g in gens],
             [e.src for e in entries], [e.dst for e in entries], [e.upower for e in entries],
-        ))
-
-    def _hold(self, name, ids, gradings, maslov, arrows) -> None:
-        vars(self).update(name=name, ids=ids, gradings=gradings, maslov=maslov, arrows=arrows)
+        ))))
 
     @classmethod
-    def _of(cls, name, ids, gradings, maslov, arrows) -> CfkComplex:
-        """The complex of arrays that are canonical already: nothing is checked."""
+    def _of(cls, *fields) -> CfkComplex:
+        """The complex of a name and arrays that are canonical already: nothing is checked."""
         c = object.__new__(cls)
-        c._hold(name, ids, gradings, maslov, arrows)
+        vars(c).update(zip(cls._fields, fields))
         return c
 
     def renamed(self, name: str) -> CfkComplex:
@@ -222,7 +215,7 @@ class CfkComplex:
         raise AttributeError(f"CfkComplex is immutable: cannot delete {key!r}")
 
     def _key(self) -> tuple:
-        return self.ids, self.gradings, self.maslov, self.arrows
+        return self.ids, self.gradings, self.maslov, self.targets, self.upowers, self.offsets
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CfkComplex):
@@ -254,8 +247,14 @@ class CfkComplex:
     @property
     def differential(self) -> tuple[DiffEntry, ...]:
         """The entries as records, in (src, dst, upower) order; built on each read."""
-        ids, arrows = self.ids, self.arrows
-        return tuple(DiffEntry(ids[s], ids[d], u) for s in _id_order(ids) for d, u in arrows[s])
+        ids, targets, upowers = self.ids, self.targets, self.upowers
+        return tuple(DiffEntry(ids[s], ids[targets[k]], upowers[k])
+                     for s, span in _by_source_id(self) for k in span)
+
+    def sources(self) -> Iterator[int]:
+        """The source index per entry, in array order, read off ``offsets``."""
+        counts = map(sub, islice(self.offsets, 1, None), self.offsets)
+        return chain.from_iterable(map(repeat, range(len(self.ids)), counts))
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, int, int], ...]:
@@ -387,23 +386,27 @@ def validate(complex: CfkComplex) -> ValidationReport:
     reported as a warning only: subquotient machinery does not rely on it.
     """
     rep = ValidationReport()
-    ids, alex, m, arrows = complex.ids, complex.gradings, complex.maslov, complex.arrows
+    ids, alex, m = complex.ids, complex.gradings, complex.maslov
+    targets, upowers, offsets = complex.targets, complex.upowers, complex.offsets
     # One pass over the entries checks both rules and d^2 = 0 as U-monomials:
     # every composite term occurs an even number of times, so each (source,
     # U power)'s XOR bitset of targets ends at zero.  This is the symbolic
     # check, independent of any lattice realization.
     rises, bad, survivors = [], [], []
-    for s, out in enumerate(arrows):
+    for s in range(len(ids)):
         parity: dict[int, int] = {}
-        for d, u in out:
+        for k in range(offsets[s], offsets[s + 1]):
+            d, u = targets[k], upowers[k]
             if alex[d] > alex[s] + u:
                 rises.append((s, d, u))
             if m is not None and m[d] != m[s] - 1 + 2 * u:
                 bad.append((s, d, u))
-            for t, v in arrows[d]:
-                parity[u + v] = parity.get(u + v, 0) ^ 1 << t
-        survivors += [(s, t, u) for u, bits in parity.items() if bits
-                      for t in range(bits.bit_length()) if bits >> t & 1]
+            for q in range(offsets[d], offsets[d + 1]):
+                w = u + upowers[q]
+                parity[w] = parity.get(w, 0) ^ 1 << targets[q]
+        if any(parity.values()):
+            survivors += [(s, t, u) for u, bits in parity.items() if bits
+                          for t in range(bits.bit_length()) if bits >> t & 1]
     rep._record("alexander-rule", [
         f"entry {s}->{d} U^{u}: alexander grading rises" for s, d, u, _ in _named(ids, rises)
     ])
@@ -474,26 +477,28 @@ def mirror(complex: CfkComplex) -> CfkComplex:
             name = complex.name[2:-1] if layers else complex.name[1:]
         else:
             name = f"-({complex.name})" if _wrapped(complex.name) else "-" + complex.name
-    # Negated gradings descend in reversed block order, and each block keeps
-    # its ids in order; the entries into a generator, read with their
-    # sources by ascending id, come out in canonical order.
-    ids, grades, m, arrows = complex.ids, complex.gradings, complex.maslov, complex.arrows
+    # Negated gradings descend in reversed block order, each block keeping its
+    # ids in order.  Read by source id, reversed entries fill groups in order.
+    ids, grades, m = complex.ids, complex.gradings, complex.maslov
+    targets, upowers = complex.targets, complex.upowers
     new, old = [0] * len(ids), []  # new index per old index, old per new
     for _, start, stop in reversed(complex.blocks):
         new[start:stop] = range(len(old), len(old) + stop - start)
         old += range(start, stop)
-    out: list[list[tuple[int, int]]] = [[] for _ in ids]
-    for s in _id_order(ids):
+    free = [0] * (len(ids) + 1)
+    for d in targets:
+        free[new[d] + 1] += 1
+    offsets = tuple(accumulate(free))
+    free, out_targets, out_upowers = list(offsets), [0] * len(targets), [0] * len(targets)
+    for s, span in _by_source_id(complex):
         t = new[s]
-        for d, u in arrows[s]:
-            out[new[d]].append((t, u))
-    return CfkComplex._of(
-        name,
-        tuple(map(ids.__getitem__, old)),
-        tuple([-grades[k] for k in old]),
-        None if m is None else tuple([-m[k] for k in old]),
-        tuple(map(tuple, out)),
-    )
+        for k in span:
+            p = new[targets[k]]
+            j = free[p]
+            free[p], out_targets[j], out_upowers[j] = j + 1, t, upowers[k]
+    return CfkComplex._of(name, tuple(map(ids.__getitem__, old)), tuple([-grades[k] for k in old]),
+                          None if m is None else tuple([-m[k] for k in old]),
+                          tuple(out_targets), tuple(out_upowers), offsets)
 
 
 def tensor(a: CfkComplex, b: CfkComplex) -> CfkComplex:
@@ -509,18 +514,17 @@ def tensor(a: CfkComplex, b: CfkComplex) -> CfkComplex:
     maslov = None
     if a.maslov is not None and b.maslov is not None:
         maslov = [x + y for x in a.maslov for y in b.maslov]
-    order, by_id = _order(ids, gradings, maslov)
-    rank = _inverse(by_id)  # id rank per pair
-    # the id rank of the pair (i, j) is rows[i][j] and cols[j][i]
-    rows = [rank[i * nb:(i + 1) * nb] for i in range(len(a.ids))]
-    cols = [rank[j::nb] for j in range(nb)]
-    triples = [*chain.from_iterable(
-        zip(rows[s], rows[d], repeat(u)) for s, out in enumerate(a.arrows) for d, u in out
-    ), *chain.from_iterable(
-        zip(cols[s], cols[d], repeat(u)) for s, out in enumerate(b.arrows) for d, u in out
-    )]
-    arrays = _arrays(order, ids, gradings, maslov)
-    return CfkComplex._of(f"{a.name} # {b.name}", *arrays, _arrows(triples, ids, order, by_id))
+    # an entry of a gives one per row of pairs, an entry of b one per column
+    rows = [range(i * nb, i * nb + nb) for i in range(len(a.ids))]
+    cols = [range(j, len(ids), nb) for j in range(nb)]
+    sources = chain(chain.from_iterable(map(rows.__getitem__, a.sources())),
+                    chain.from_iterable(map(cols.__getitem__, b.sources())))
+    targets = chain(chain.from_iterable(map(rows.__getitem__, a.targets)),
+                    chain.from_iterable(map(cols.__getitem__, b.targets)))
+    upowers = [*chain.from_iterable(map(repeat, a.upowers, repeat(nb))),
+               *chain.from_iterable(map(repeat, b.upowers, repeat(len(a.ids))))]
+    return CfkComplex._of(f"{a.name} # {b.name}", *_canonical(
+        *_order(ids, gradings, maslov), ids, gradings, maslov, sources, targets, upowers))
 
 
 def direct_sum(a: CfkComplex, b: CfkComplex) -> CfkComplex:
@@ -538,15 +542,10 @@ def direct_sum(a: CfkComplex, b: CfkComplex) -> CfkComplex:
     maslov = None
     if a.maslov is not None or b.maslov is not None:
         maslov = (a.maslov or (None,) * na) + (b.maslov or (None,) * nb)
-    order, _ = _order(ids, gradings, maslov)
-    # ids do not change, so each generator's arrows stay in target id order
-    new = _inverse(order)
-    shifted = new[na:]
-    arrows = tuple([
-        tuple([(new[d], u) for d, u in a.arrows[p]]) if p < na
-        else tuple([(shifted[d], u) for d, u in b.arrows[p - na]]) for p in order
-    ])
-    return CfkComplex._of(f"{a.name} + {b.name}", *_arrays(order, ids, gradings, maslov), arrows)
+    sources = chain(a.sources(), map(na.__add__, b.sources()))
+    targets = chain(a.targets, map(na.__add__, b.targets))
+    return CfkComplex._of(f"{a.name} + {b.name}", *_canonical(*_order(ids, gradings, maslov), ids,
+                          gradings, maslov, sources, targets, a.upowers + b.upowers))
 
 
 def _json_list(items: list[str]) -> str:
@@ -562,7 +561,7 @@ def serialize(complex: CfkComplex) -> str:
     go through json's own escaping, integers are written in decimal.
     """
     q = encode_basestring
-    ids, arrows = list(map(q, complex.ids)), complex.arrows
+    ids, t, u = list(map(q, complex.ids)), complex.targets, complex.upowers
     if complex.maslov is None:
         gens = [f'{{\n      "id": {i},\n      "alexander": {a}\n    }}'
                 for i, a in zip(ids, complex.gradings)]
@@ -570,8 +569,8 @@ def serialize(complex: CfkComplex) -> str:
         gens = [f'{{\n      "id": {i},\n      "alexander": {a},\n      "maslov": {m}\n    }}'
                 for i, a, m in zip(ids, complex.gradings, complex.maslov)]
     entries = [
-        f'{{\n      "from": {ids[s]},\n      "to": {ids[d]},\n      "upower": {u}\n    }}'
-        for s in _id_order(complex.ids) for d, u in arrows[s]
+        f'{{\n      "from": {ids[s]},\n      "to": {ids[t[k]]},\n      "upower": {u[k]}\n    }}'
+        for s, span in _by_source_id(complex) for k in span
     ]
     return (
         f'{{\n  "name": {q(complex.name)},\n  "generators": {_json_list(gens)},'

@@ -81,13 +81,13 @@ def realize(complex: CfkComplex, region: Region, level: Level | None = None) -> 
         position[start:stop] = range(len(keep), len(keep) + size)
         keep += range(start, stop)
         levels += [s] * size
-    arrows = complex.arrows
+    targets, upowers, offsets = complex.targets, complex.upowers, complex.offsets
     boundary = []
     for k, old in enumerate(keep):
         col, i = 0, at[old]
-        for d, u in arrows[old]:
-            if at[d] == i - u:
-                col |= 1 << position[d]
+        for e in range(offsets[old], offsets[old + 1]):
+            if at[targets[e]] == i - upowers[e]:
+                col |= 1 << position[targets[e]]
         if col and levels[col.bit_length() - 1] > levels[k]:
             raise RegionError("boundary raises the filtration level")
         boundary.append(col)

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import operator
 import pickle
 import random
 import re
@@ -22,7 +23,7 @@ from cfk.complexes import (
     tensor,
     validate,
 )
-from cfk.builders import box, conway_model, unknot
+from cfk.builders import box, conway_model, staircase, torus_knot_exponents, unknot
 from cfk.cli import main
 from cfk.homology import column
 from cfk.invariants import invariants
@@ -567,7 +568,7 @@ def test_renamed_shares_the_arrays(trefoil):
     hash(trefoil)
     renamed = trefoil.renamed("other")
     assert renamed.name == "other" and trefoil.name == "T(2,3)"
-    for key in ("ids", "gradings", "maslov", "arrows", "_hash"):
+    for key in ("ids", "gradings", "maslov", "targets", "upowers", "offsets", "_hash"):
         assert vars(renamed)[key] is vars(trefoil)[key]
     assert renamed == trefoil and hash(renamed) == hash(trefoil)
     # a complex built afresh computes its own hash, once
@@ -603,6 +604,15 @@ def _held(complex: CfkComplex) -> list:
     return held
 
 
+def test_equal_labels_are_one_object():
+    # ids are interned, so complexes built or parsed apart share their strings
+    first = staircase(torus_knot_exponents(2, 9))
+    again = staircase(torus_knot_exponents(2, 9))
+    for other in (again, parse(serialize(first))):
+        assert len(other.ids) == 9
+        assert all(map(operator.is_, other.ids, first.ids))
+
+
 def test_a_complex_holds_arrays_only(trefoil, t29):
     made = {
         "constructor": trefoil,
@@ -618,7 +628,11 @@ def test_a_complex_holds_arrays_only(trefoil, t29):
     # one string per generator, formed once by tensor, and the name
     big = tensor(tensor(t29, t29), t29)
     hash(big), big.blocks
-    strings = [x for x in _held(big) if isinstance(x, str)]
+    held = _held(big)
+    strings = [x for x in held if isinstance(x, str)]
     assert len(big.ids) == 729 and len(strings) <= 729 + 1
+    # flat arrays: no tuple per generator or per entry, only one per block
+    tuples = [x for x in held if isinstance(x, tuple)]
+    assert len(tuples) <= len(big.blocks) + 8, len(tuples)
     with pytest.raises(AttributeError):
         big.name = "other"
