@@ -4,11 +4,12 @@ A complex is a finite set of generators, each carrying an Alexander grading
 (and optionally a Maslov grading), together with differential entries of the
 form ``d(src) += U^k * dst``.  A generator ``x`` occupies the lattice points
 ``[x, i, i + A(x)]``; multiplication by U shifts a point to ``(i-1, j-1)``.
-A complex holds only flat canonical arrays: per generator its interned id,
-gradings and entry offset, per entry its target index and U power.  Ids are
+A complex holds only flat canonical arrays: per generator its id, gradings
+and entry offset, per entry its target index and U power.  Ids are
 read only at the edges: by ``parse`` and the constructor, by ``serialize``
 and in messages.  All structural operations return new immutable values
-and work on the arrays.
+and work on the arrays; parse, the constructor, mirror, tensor and
+direct_sum all make them through ``_canonical``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,13 @@ class DiffEntry(NamedTuple):
     upower: int
 
 
+# Interning makes equal ids built or parsed apart one object.  Interned
+# strings are immortal on Python 3.12, where every fresh label would stay for
+# the life of the process, so ids are not interned there (str of a str is
+# the string itself).
+_intern = str if sys.version_info[:2] == (3, 12) else sys.intern
+
+
 def _by_source_id(c: CfkComplex) -> list[tuple[int, range]]:
     """(source, index range of its entries) per generator by ascending id:
     the entries read in this order are in (src, dst, upower) order.  A
@@ -89,12 +97,12 @@ def _canonical(order: list[int], by_id: list[int], ids, gradings, maslov,
                sources: Iterable[int], targets: Iterable[int], upowers: Sequence[int]) -> tuple:
     """The canonical arrays (ids, gradings, maslov, targets, upowers, offsets)
     of generator columns with the orders of _order and of entries given by
-    source and target position and U power, both in any order.  Ids are
-    interned, so equal labels built or parsed apart are one object.  An
-    entry is one int key, (canonical source, target id rank, U power), so one
-    sort of ints orders the entries and no object per entry outlives the call.
+    source and target position and U power, both in any order.  Ids go
+    through _intern.  An entry is one int key, (canonical source, target id
+    rank, U power), so one sort of ints orders the entries and no object per
+    entry outlives the call.
     """
-    ids = tuple(map(sys.intern, map(ids.__getitem__, order)))  # in canonical order from here on
+    ids = tuple(map(_intern, map(ids.__getitem__, order)))  # in canonical order from here on
     n, shift = len(order), max(upowers, default=0).bit_length()
     new, rank = [0] * n, [0] * n  # canonical index and id rank per position
     for k, p, q in zip(range(n), order, by_id):
@@ -161,12 +169,13 @@ class CfkComplex:
     Canonical order is (alexander descending, id ascending) for generators
     and, per generator, (target id, upower) for the entries out of it,
     matching the on-disk serialization.  A complex holds only ``name`` and
-    flat tuples: per generator index ``ids`` (interned: equal labels are one
-    object in every complex), ``gradings`` (Alexander) and ``maslov`` (or
-    None); per entry, grouped by source in canonical order, ``targets`` (the
-    target index) and ``upowers``; and ``offsets``: generator k's entries are
-    ``[offsets[k], offsets[k + 1])``.  ``generators`` and ``differential``
-    give the records back, built on each read.
+    flat tuples: per generator index ``ids`` (interned where interned
+    strings are mortal, see _intern), ``gradings`` (Alexander) and
+    ``maslov`` (or None); per entry, grouped by source in canonical order,
+    ``targets`` (the target index) and ``upowers``; and ``offsets``:
+    generator k's entries are ``[offsets[k], offsets[k + 1])``.
+    ``generators`` and ``differential`` give the records back, built on
+    each read.
 
     ``CfkComplex(name, generators, differential)`` takes records in any
     order and enforces the structural rules, so no other code checks them:
@@ -477,28 +486,11 @@ def mirror(complex: CfkComplex) -> CfkComplex:
             name = complex.name[2:-1] if layers else complex.name[1:]
         else:
             name = f"-({complex.name})" if _wrapped(complex.name) else "-" + complex.name
-    # Negated gradings descend in reversed block order, each block keeping its
-    # ids in order.  Read by source id, reversed entries fill groups in order.
-    ids, grades, m = complex.ids, complex.gradings, complex.maslov
-    targets, upowers = complex.targets, complex.upowers
-    new, old = [0] * len(ids), []  # new index per old index, old per new
-    for _, start, stop in reversed(complex.blocks):
-        new[start:stop] = range(len(old), len(old) + stop - start)
-        old += range(start, stop)
-    free = [0] * (len(ids) + 1)
-    for d in targets:
-        free[new[d] + 1] += 1
-    offsets = tuple(accumulate(free))
-    free, out_targets, out_upowers = list(offsets), [0] * len(targets), [0] * len(targets)
-    for s, span in _by_source_id(complex):
-        t = new[s]
-        for k in span:
-            p = new[targets[k]]
-            j = free[p]
-            free[p], out_targets[j], out_upowers[j] = j + 1, t, upowers[k]
-    return CfkComplex._of(name, tuple(map(ids.__getitem__, old)), tuple([-grades[k] for k in old]),
-                          None if m is None else tuple([-m[k] for k in old]),
-                          tuple(out_targets), tuple(out_upowers), offsets)
+    ids, gradings = complex.ids, [-a for a in complex.gradings]
+    maslov = None if complex.maslov is None else [-m for m in complex.maslov]
+    # each entry reversed: its target is the new source, its source the new target
+    return CfkComplex._of(name, *_canonical(*_order(ids, gradings, maslov), ids, gradings, maslov,
+                          complex.targets, complex.sources(), complex.upowers))
 
 
 def tensor(a: CfkComplex, b: CfkComplex) -> CfkComplex:

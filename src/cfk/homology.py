@@ -133,21 +133,21 @@ def _by_j(shape: str, t: int, i: int, j: int) -> int:
     return j
 
 
-Column = NamedTuple("Column", [("levels", tuple), ("index", tuple), ("homology", HomologyResult)])
+Column = NamedTuple("Column", [("index", tuple), ("homology", HomologyResult)])
 
 
 @lifetime_cache
 def column(complex: CfkComplex) -> Column:
-    """The column at i = 0, realized in ascending j: levels, generator indices, homology.
+    """The column at i = 0, realized in ascending j: generator indices, homology.
 
     The one reduction of the column: validate's rank check, tau, the death
     reader, the suite's Euler characteristic and the report's vertical
-    dimension all read it, and none reads its boundary, which is not kept.
-    It is cached for as long as the complex lives (see lifetime_cache): an
-    equal complex shares it meanwhile, and a temporary's column goes with it.
+    dimension all read it.  It keeps neither the boundary nor the j-levels:
+    the column point of generator k has j = complex.gradings[k].  It is
+    cached for as long as the complex lives (see lifetime_cache): an equal
+    complex shares it meanwhile, and a temporary's column goes with it.
     It raises RegionError when a U^0 entry breaks the Alexander rule;
     validate reads it only once that rule and d^2 = 0 have passed.
     """
     x = realize(complex, Region("vertical", 0), _by_j)
-    return Column(x.filtration, x.index, homology(x))
-
+    return Column(x.index, homology(x))

@@ -24,18 +24,18 @@ of that sign dies.
 
 Caches are keyed on the knot complex, never on a chain complex, and each
 entry lives exactly as long as the complex it was first computed for
-(complexes.lifetime_cache).  cfk has two: homology.column, which keeps no
-boundary, and the death reader here, one entry per (shape, route) of a
-complex.  An equal complex shares those entries while that complex lives,
-and a temporary, such as a mirror or a tensor built for one check, takes
-its entries with it when it goes.  realize caches nothing, so a
-realization lives only while it is read.  A route is a hashable value,
-_by_i or _by_steps(n), so a repeated read costs one cache lookup and
-never re-levels a region.  On a miss, a route that gives i on every
-grading's point reads the _by_i entry, so the surgery route shares the
-algebraic route's reductions wherever the two agree.  tau,
-epsilon and a1 are plain reads of those entries, and a report reads the
-two algebraic deaths once, for epsilon and the hook dimensions.
+(complexes.lifetime_cache).  cfk has two: homology.column, which keeps
+neither boundary nor j-levels, and the death reader here, one entry per
+(shape, route) of a complex.  An equal complex shares those entries while
+that complex lives, and a temporary, such as a mirror or a tensor built
+for one check, takes its entries with it when it goes.  realize caches
+nothing, so a realization lives only while it is read.  A route is a
+hashable value, _by_i or _by_steps(n), so a repeated read costs one cache
+lookup and never re-levels a region.  On a miss, a route that gives i on
+every grading's point reads the _by_i entry, so the surgery route shares
+the algebraic route's reductions wherever the two agree.  tau, epsilon and
+a1 are plain reads of those entries, and a report reads the two algebraic
+deaths once, for epsilon and the hook dimensions.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def _death(complex: CfkComplex, shape: str, route: Level) -> _Death:
     at = {a: region.point(a) for a, _, _ in complex.blocks}
     if route is not _by_i and all(route(shape, t, i, j) == i for i, j in at.values()):
         return _death(complex, shape, _by_i)
-    _, column_index, h = column(complex)
+    column_index, h = column(complex)
     target = realize(complex, region, route)
     same = {a for a, p in at.items() if p == (0, a)}  # gradings whose points coincide
     where = {g: k for k, g in enumerate(target.index)}
@@ -175,12 +175,12 @@ def tau(complex: CfkComplex) -> int:
     The column is reduced once in ascending j.  Its kernel comes out with
     one top bit per cycle, so the first representative is the earliest
     cycle in j order that is not a boundary, and tau is the j of its top
-    basis point, so |tau| <= g.
+    basis point, the Alexander grading of its generator, so |tau| <= g.
     """
-    levels, _, h = column(complex)
+    index, h = column(complex)
     if not h.representatives:
         raise SearchExhausted("the column has no homology generator; complex invalid")
-    return levels[h.representatives[0].bit_length() - 1]
+    return complex.gradings[index[h.representatives[0].bit_length() - 1]]
 
 
 def _algebraic(complex: CfkComplex) -> tuple[int, _Death, _Death]:

@@ -136,7 +136,7 @@ def prop_euler_characteristic(c: CfkComplex) -> str | None:
     # reads the cached column reduction that validate's rank check made; d
     # flips the Maslov parity, so each homology representative is homogeneous
     # and counts with its top point's parity
-    _, index, h = column(c)
+    index, h = column(c)
     sign = [1 - 2 * (m % 2) for m in c.maslov]  # by generator index
     chi = sum(sign[k] for k in index)
     counted = sum(sign[index[z.bit_length() - 1]] for z in h.representatives)

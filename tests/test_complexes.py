@@ -605,12 +605,15 @@ def _held(complex: CfkComplex) -> list:
 
 
 def test_equal_labels_are_one_object():
-    # ids are interned, so complexes built or parsed apart share their strings
+    # ids are interned where interned strings are mortal, so complexes built
+    # or parsed apart share their strings; on Python 3.12, where interning
+    # would keep every label for good, they only compare equal
+    shared = sys.version_info[:2] != (3, 12)
     first = staircase(torus_knot_exponents(2, 9))
     again = staircase(torus_knot_exponents(2, 9))
     for other in (again, parse(serialize(first))):
-        assert len(other.ids) == 9
-        assert all(map(operator.is_, other.ids, first.ids))
+        assert len(other.ids) == 9 and other.ids == first.ids
+        assert all(map(operator.is_, other.ids, first.ids)) == shared
 
 
 def test_a_complex_holds_arrays_only(trefoil, t29):

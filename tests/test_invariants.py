@@ -368,7 +368,7 @@ def test_reports_keep_no_realization(library, cold_caches):
         invariants(c)
         info = realize.cache_info()
         assert (info.currsize, info.misses) == (0, 3)
-        assert column(c)._fields == ("levels", "index", "homology")
+        assert column(c)._fields == ("index", "homology")
         assert not any(isinstance(v, F2Complex) for v in column(c))
         assert column.cache_info().misses == 1
     assert [f.__name__ for f in cold_caches()] == ["_death", "column", "realize"]

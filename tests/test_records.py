@@ -4,7 +4,9 @@ tensor, mirror, direct_sum and parse . serialize work on a complex's
 arrays; each result is read back from its serialized text as sets of
 records and compared with the model's own operation on the records of the
 inputs.  The cases are the library, random_model seeds 0-299 at sizes 2
-and 3, their mirrors and the pairwise tensors of the library.
+and 3, their mirrors, the pairwise tensors of the library and two products
+at report scale: T(2,9)^{#3} (729 generators) and -T(2,3;2,5) # T(2,9) #
+T(2,9) (405).
 """
 
 import json
@@ -23,7 +25,10 @@ def cases(library):
     knots = list(library.values())
     randoms = [random_model(seed, size) for size in (2, 3) for seed in range(300)]
     tensors = [tensor(a, b) for a in knots for b in knots]
-    return knots + randoms + [mirror(c) for c in knots + randoms] + tensors
+    # at report scale: T(2,9)^{#3} and a product of mixed signs
+    t29 = library["T(2,9)"]
+    large = [tensor(tensor(t29, t29), t29), tensor(tensor(library["-T(2,3;2,5)"], t29), t29)]
+    return knots + randoms + [mirror(c) for c in knots + randoms] + tensors + large
 
 
 def _records(c: CfkComplex) -> Records:
