@@ -277,10 +277,6 @@ class CfkComplex:
             start = stop
         return tuple(out)
 
-    @property
-    def maslov_present(self) -> bool:
-        return self.maslov is not None
-
     @cached_property
     def genus_bound(self) -> int:
         """max |A(x)|; a valid complex has |tau| <= g and |a1| <= 2g."""
@@ -303,50 +299,34 @@ def lifetime_cache(fn: Callable) -> Callable:
     Entries are keyed weakly on the complex, by the structural equality and
     hash above: an entry lives exactly as long as the complex it was first
     computed for, an equal complex reads it while that one lives, and a
-    temporary's entries go with the temporary.  A function of the complex
-    alone holds its value directly; one with more arguments holds one dict
-    of (argument tuple, value) entries per complex.  No value may refer to
-    its complex, or the complex would never go.  ``cache_info()`` and
-    ``cache_clear()`` mean what lru_cache's do; currsize counts values.
+    temporary's entries go with the temporary.  Each complex holds one dict
+    of (argument tuple, value) entries; the key is () for a function of the
+    complex alone.  No value may refer to its complex, or the complex would
+    never go.  ``cache_info()`` and ``cache_clear()`` mean what lru_cache's
+    do; currsize counts values.
     """
     entries: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
     counts = [0, 0]  # hits, misses
     missing = object()
 
-    if fn.__code__.co_argcount > 1:
-        @wraps(fn)
-        def cached(complex, *key):
-            held = entries.get(complex)
-            if held is None:
-                held = entries[complex] = {}
-            value = held.get(key, missing)
-            if value is missing:
-                counts[1] += 1
-                value = held[key] = fn(complex, *key)
-            else:
-                counts[0] += 1
-            return value
-
-        def size() -> int:
-            return sum(map(len, entries.values()))
-    else:
-        @wraps(fn)
-        def cached(complex):
-            value = entries.get(complex, missing)
-            if value is missing:
-                counts[1] += 1
-                value = entries[complex] = fn(complex)
-            else:
-                counts[0] += 1
-            return value
-
-        size = entries.__len__
+    @wraps(fn)
+    def cached(complex, *key):
+        held = entries.get(complex)
+        if held is None:
+            held = entries[complex] = {}
+        value = held.get(key, missing)
+        if value is missing:
+            counts[1] += 1
+            value = held[key] = fn(complex, *key)
+        else:
+            counts[0] += 1
+        return value
 
     def cache_clear() -> None:
         entries.clear()
         counts[:] = [0, 0]
 
-    cached.cache_info = lambda: CacheInfo(*counts, None, size())
+    cached.cache_info = lambda: CacheInfo(*counts, None, sum(map(len, entries.values())))
     cached.cache_clear = cache_clear
     return cached
 
@@ -444,48 +424,15 @@ def validate(complex: CfkComplex) -> ValidationReport:
     return rep
 
 
-def _balanced(name: str) -> bool:
-    depth = 0
-    for ch in name:
-        depth += (ch == "(") - (ch == ")")
-        if depth < 0:
-            return False
-    return depth == 0
-
-
-def _wrapped(name: str) -> bool:
-    """Whether a name that is not a mirror's mirrors to -( name ): it balances its
-    parentheses and starts with '-' or '(' or joins names by ' # ' or ' + ' outside them."""
-    depth, joined = 0, name.startswith(("-", "("))
-    for k, ch in enumerate(name):
-        depth += (ch == "(") - (ch == ")")
-        if depth < 0:
-            return False
-        joined |= depth == 0 and name.startswith((" # ", " + "), k)
-    return joined and depth == 0
-
-
 def mirror(complex: CfkComplex) -> CfkComplex:
     """Dual complex: reverse every entry, negate both gradings.
 
     Reversing an entry keeps its U power, so the grading rules hold again after
-    negation; mirror twice gives back an equal complex and its name.  A balanced
-    name is a mirror's when it is -X, X not wrapped, or -(Y), Y wrapped and not a
-    mirror's (peeled -( ) layers flip that), and A # B mirrors to -(A # B).  An
-    unbalanced name, which no builder makes, is a mirror's when it starts with an
-    odd number of '-', and mirrors by dropping or adding one '-': wrapping it in
-    -( ) could balance it, and ')(' would then share -()()'s mirror name."""
-    name, layers = complex.name, 0
-    if not _balanced(name):
-        run = len(name) - len(name.lstrip("-"))
-        name = name[1:] if run % 2 else "-" + name
-    else:
-        while name.startswith("-(") and name.endswith(")") and _wrapped(name[2:-1]):
-            name, layers = name[2:-1], layers + 1
-        if (name.startswith("-") and not _wrapped(name[1:])) != (layers % 2 == 1):
-            name = complex.name[2:-1] if layers else complex.name[1:]
-        else:
-            name = f"-({complex.name})" if _wrapped(complex.name) else "-" + complex.name
+    negation; mirror twice gives back an equal complex and its name.  A name is
+    a mirror's when it starts with an odd number of '-': mirror drops one '-'
+    from it, and adds one to any other name, so -(A # B) mirrors to (A # B)."""
+    name = complex.name
+    name = name[1:] if (len(name) - len(name.lstrip("-"))) % 2 else "-" + name
     ids, gradings = complex.ids, [-a for a in complex.gradings]
     maslov = None if complex.maslov is None else [-m for m in complex.maslov]
     # each entry reversed: its target is the new source, its source the new target
@@ -497,8 +444,9 @@ def tensor(a: CfkComplex, b: CfkComplex) -> CfkComplex:
     """Tensor product over the U ring; models the connect sum.
 
     Generators are pairs x⊗y with gradings added; the differential follows
-    the Leibniz rule (no signs over the two-element field).  Pairs whose ids
-    collide raise ParseError, as the constructor would.
+    the Leibniz rule (no signs over the two-element field).  The result is
+    named (A # B), so a sum's mirror -(A # B) names the sum as a whole.
+    Pairs whose ids collide raise ParseError, as the constructor would.
     """
     nb = len(b.ids)
     ids = [f"{x}⊗{y}" for x in a.ids for y in b.ids]  # pair (i, j) at i * nb + j
@@ -515,12 +463,12 @@ def tensor(a: CfkComplex, b: CfkComplex) -> CfkComplex:
                     chain.from_iterable(map(cols.__getitem__, b.targets)))
     upowers = [*chain.from_iterable(map(repeat, a.upowers, repeat(nb))),
                *chain.from_iterable(map(repeat, b.upowers, repeat(len(a.ids))))]
-    return CfkComplex._of(f"{a.name} # {b.name}", *_canonical(
+    return CfkComplex._of(f"({a.name} # {b.name})", *_canonical(
         *_order(ids, gradings, maslov), ids, gradings, maslov, sources, targets, upowers))
 
 
 def direct_sum(a: CfkComplex, b: CfkComplex) -> CfkComplex:
-    """Disjoint union of two complexes.
+    """Disjoint union of two complexes, named (A + B).
 
     The sum is a knot complex exactly when one summand carries the
     one-dimensional vertical homology and the other is vertically acyclic;
@@ -536,7 +484,7 @@ def direct_sum(a: CfkComplex, b: CfkComplex) -> CfkComplex:
         maslov = (a.maslov or (None,) * na) + (b.maslov or (None,) * nb)
     sources = chain(a.sources(), map(na.__add__, b.sources()))
     targets = chain(a.targets, map(na.__add__, b.targets))
-    return CfkComplex._of(f"{a.name} + {b.name}", *_canonical(*_order(ids, gradings, maslov), ids,
+    return CfkComplex._of(f"({a.name} + {b.name})", *_canonical(*_order(ids, gradings, maslov), ids,
                           gradings, maslov, sources, targets, a.upowers + b.upowers))
 
 

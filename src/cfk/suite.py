@@ -131,7 +131,7 @@ def prop_hook_stabilization(c: CfkComplex) -> str | None:
     return None
 
 
-@_over(lambda ctx: [c for c in ctx.pool if c.maslov_present])
+@_over(lambda ctx: [c for c in ctx.pool if c.maslov is not None])
 def prop_euler_characteristic(c: CfkComplex) -> str | None:
     # reads the cached column reduction that validate's rank check made; d
     # flips the Maslov parity, so each homology representative is homogeneous

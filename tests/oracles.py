@@ -208,13 +208,13 @@ def records_tensor(r: Records, q: Records) -> Records:
     ) | frozenset(
         (f"{x}⊗{s}", f"{x}⊗{d}", u) for x, _, _ in r.generators for s, d, u in q.entries
     )
-    return Records(f"{r.name} # {q.name}", gens, entries)
+    return Records(f"({r.name} # {q.name})", gens, entries)
 
 
 def records_sum(r: Records, q: Records) -> Records:
     """The disjoint union; the ids must not meet."""
     assert not {x for x, _, _ in r.generators} & {x for x, _, _ in q.generators}
-    return Records(f"{r.name} + {q.name}", r.generators | q.generators, r.entries | q.entries)
+    return Records(f"({r.name} + {q.name})", r.generators | q.generators, r.entries | q.entries)
 
 
 # -- linear-scan elimination: every basis vector visited in insertion order -----

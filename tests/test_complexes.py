@@ -274,36 +274,38 @@ def test_mirror_involution(trefoil, cable_t23_25):
 
 
 def test_mirror_names_a_sum_as_a_whole(library):
-    # the mirror of A # B is -(A # B), not -A # B, which names another knot;
-    # a naive strip of a leading "-(" would break the nested sum below
+    # tensor names A # B as (A # B), so its mirror is -(A # B), not -A # B,
+    # which names another knot; mirror flips only the leading '-'
     t29, t23, fig8 = library["T(2,9)"], library["T(2,3)"], library["4_1"]
+    assert tensor(t29, t29).name == "(T(2,9) # T(2,9))"
     assert mirror(tensor(t29, t29)).name == "-(T(2,9) # T(2,9))"
     assert mirror(direct_sum(fig8, box(prefix="pad."))).name == "-(4_1 + box(0))"
     nested = tensor(mirror(tensor(t29, t29)), mirror(tensor(t23, fig8)))
-    assert nested.name == "-(T(2,9) # T(2,9)) # -(T(2,3) # 4_1)"
+    assert nested.name == "(-(T(2,9) # T(2,9)) # -(T(2,3) # 4_1))"
     assert mirror(nested).name == "-(-(T(2,9) # T(2,9)) # -(T(2,3) # 4_1))"
     for c in (nested, tensor(mirror(t23), t29), t23, mirror(t23)):
         assert mirror(mirror(c)).name == c.name
-    # a name read from a file may start with '(' or '--': it is wrapped whole,
-    # so it never shares a mirror name with A # B or with -T(2,3)
-    assert mirror(t23.renamed("(A # B)")).name == "-((A # B))"
-    assert mirror(t23.renamed("--(A # B)")).name == "-(--(A # B))"
-    assert mirror(t23.renamed("--T(2,3)")).name == "-(--T(2,3))"
+    # a name read from a file follows the same rule: an even run of leading
+    # '-' gains one, an odd run loses one
+    assert mirror(t23.renamed("(A # B)")).name == "-(A # B)"
+    assert mirror(t23.renamed("--(A # B)")).name == "---(A # B)"
+    assert mirror(t23.renamed("--T(2,3)")).name == "---T(2,3)"
+    assert mirror(t23.renamed("-(-T(2,3))")).name == "(-T(2,3))"
     for name in ("(A # B)", "--(A # B)", "--T(2,3)", "-(-T(2,3))", "-(a)b", "()"):
         assert mirror(mirror(t23.renamed(name))).name == name
 
 
 def test_mirror_returns_every_short_name(trefoil):
     # all 19,531 names of at most 6 symbols from "-", "(", ")", "a" and " # ",
-    # balanced or not, come back after two mirrors
+    # balanced or not, come back after two mirrors, and none is its own mirror
     symbols = ("-", "(", ")", "a", " # ")
     names = ["".join(p) for k in range(7) for p in itertools.product(symbols, repeat=k)]
     assert len(names) == 19531
     assert [mirror(mirror(trefoil.renamed(x))).name for x in names] == names
-    # an unbalanced name gains or drops one '-', so it stays unbalanced and
-    # never takes a balanced name's mirror name: ')(' and '-()()' stay apart
+    assert all(mirror(trefoil.renamed(x)).name != x for x in names)
+    # each name gains or drops one leading '-', so ')(' and '-()()' stay apart
     mirrored = {x: mirror(trefoil.renamed(x)).name for x in ("--(", "-(", ")(", "-()()")}
-    assert mirrored == {"--(": "---(", "-(": "(", ")(": "-)(", "-()()": "-(-()())"}
+    assert mirrored == {"--(": "---(", "-(": "(", ")(": "-)(", "-()()": "()()"}
 
 
 def test_mirror_reverses_and_negates(trefoil):
