@@ -45,7 +45,7 @@ class F2Complex:
         return len(self.boundary)
 
 
-@lru_cache(maxsize=0)
+@lru_cache(maxsize=0)  # caches nothing; kept for perfbench/tracing.py's realize.cache_info()
 def realize(complex: CfkComplex, region: Region, level: Level | None = None) -> F2Complex:
     """Subquotient complex spanned by the region's occupied lattice points.
 

@@ -5,7 +5,9 @@ point (i, j) of the hook or lhook at tau = t.  The algebraic route _by_i
 gives i; the surgery route _by_steps(n) gives the step level that the
 (n,1)-cable of the meridian induces on the hook (the large-surgery
 model), the second coordinate of meridian_filtration and the only
-definition of a step level here, mirrored on the lhook.  One death
+definition of a step level here, mirrored on the lhook.  That filtration
+is two maxima, [max(i, j - m), max(i, j - m - n)] in slot m; its first
+coordinate is 0 on the hook at m, which is {max(i, j - m) = 0}.  One death
 reader realizes the hook or lhook leveled by a route, in one pass, and
 finds the least level at which the map from or to the column dies on
 homology; a1 is epsilon's sign times the level at which the map of that
@@ -66,17 +68,15 @@ class BiFiltrationLevel(NamedTuple):
 def meridian_filtration(i: int, j: int, m: int, n: int) -> BiFiltrationLevel:
     """Level of the lattice point (i, j) in surgery slot m under the n-cable.
 
-    Three cases: below the diagonal j = m + i the level is [i, i]; at height
-    k above it, [j-m, j-m-k]; from height n on the drop saturates at n.
+    The level is [max(i, j - m), max(i, j - m - n)].  These two maxima are
+    the paper's three cases: on or below the diagonal j = m + i it is
+    [i, i]; at height k = j - m - i above it, [j - m, i] = [j - m, j - m - k]
+    while k < n; and from height n on the drop saturates: [j - m, j - m - n].
     """
     if n < 1:
         raise ParameterError(f"cable parameter must be at least 1, got {n}")
-    if j <= m + i:
-        return BiFiltrationLevel(i, i)
-    k = j - m - i
-    if k < n:
-        return BiFiltrationLevel(j - m, j - m - k)
-    return BiFiltrationLevel(j - m, j - m - n)
+    h = j - m
+    return BiFiltrationLevel(h if h > i else i, h - n if h - n > i else i)
 
 
 def _by_i(shape: str, t: int, i: int, j: int) -> int:
@@ -240,15 +240,14 @@ def a1_surgery(complex: CfkComplex, n: int | None = None) -> int:
 
     Requires n above twice the genus bound g; n defaults to 2g + 1.  The
     reader, _a1 with _by_steps(n), gives eps * min(|a1|, n) at every n >= 1,
-    which is a1 for n > 2g.  Proof: the hook at t holds (0, a) for a <= t
-    and (t - a, t) for a > t.  With k = a - t, meridian_filtration's second
-    coordinate is i while k < n and -n once k >= n, where i = -k; so a hook
-    point's step level is max(i, -n), and by _by_steps' mirror an lhook
-    point's is min(i, n).  So the step cut at s is the i cut at s for s < n
-    and the whole region, an i cut at large s, for s >= n.  A map that dies
-    at a cutoff stays dead at every larger one, which factors through it by
-    inclusion on the lhook and by projection on the hook.  As the map of
-    eps's sign dies by i at |a1|, by steps it dies at min(|a1|, n).
+    which is a1 for n > 2g.  Proof: a point of the hook at t has i = 0 and
+    j <= t, or i < 0 and j = t, so its step level max(i, j - t - n) is
+    max(i, -n), and by _by_steps' mirror an lhook point's is min(i, n).  So
+    the step cut at s is the i cut at s for s < n and the whole region, an
+    i cut at large s, for s >= n.  A map that dies at a cutoff stays dead at
+    every larger one, which factors through it by inclusion on the lhook and
+    by projection on the hook.  As the map of eps's sign dies by i at |a1|,
+    by steps it dies at min(|a1|, n).
     """
     return _a1(complex, _surgery_route(complex, n), epsilon(complex))
 

@@ -5,11 +5,12 @@ import pytest
 
 from cfk import gf2, suite
 from cfk.homology import HomologyResult, column
-from cfk.invariants import BiFiltrationLevel, _by_steps, meridian_filtration, tau
+from cfk.invariants import BiFiltrationLevel, _by_steps, epsilon, meridian_filtration, tau
 from cfk.suite import (
     PROPERTIES,
     SuiteContext,
     prop_euler_characteristic,
+    prop_mirror_antisymmetry,
     prop_slice_dim_one,
     prop_surgery_equivalence,
     prop_tensor_commutes,
@@ -82,6 +83,38 @@ def test_euler_property_reads_the_representatives_parity(monkeypatch, trefoil):
     cases, failures = prop_euler_characteristic(ctx)
     assert cases == 1 and len(failures) == 1
     assert "euler characteristic mismatch" in failures[0]
+
+
+@pytest.mark.parametrize(
+    "name, value", [("tau", tau), ("epsilon", epsilon)], ids=["tau", "epsilon"]
+)
+def test_mirror_antisymmetry_reads_tau_and_epsilon(monkeypatch, library, name, value):
+    # a sign slip: the law's tau or epsilon loses its sign.  a1 reads its own
+    # tau and epsilon, so its check still passes, and each library knot
+    # whose value is nonzero fails the new check alone
+    pool = list(library.values())
+    monkeypatch.setattr(suite, name, lambda c: abs(value(c)))
+    cases, failures = prop_mirror_antisymmetry(SimpleNamespace(pool=pool))
+    assert cases == len(pool)
+    assert len(failures) == sum(value(c) != 0 for c in pool) > 0
+    assert all("mirror (tau, epsilon)" in f for f in failures)
+
+
+@pytest.mark.parametrize(
+    "name, value, failing", [("tau", tau, 5), ("epsilon", epsilon, 3)], ids=["tau", "epsilon"]
+)
+def test_tensor_commutes_reads_the_factors(monkeypatch, name, value, failing):
+    # a sign slip: a tensor's tau or epsilon read with the wrong sign.  Both
+    # tensors of a case slip alike, so the rotation check still passes;
+    # additivity fails on all 5 cases, and Hom's rules on the 3 whose
+    # factors' signs predict a nonzero epsilon
+    def slipped(c):
+        return -value(c) if c.name.startswith("(") else value(c)
+
+    monkeypatch.setattr(suite, name, slipped)
+    cases, failures = prop_tensor_commutes(SuiteContext(0))
+    assert (cases, len(failures)) == (5, failing)
+    assert all(f.startswith("(tau, epsilon) of (") for f in failures)
 
 
 def test_over_runs_a_law_once_per_complex_in_pool_order(library):
